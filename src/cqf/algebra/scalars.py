@@ -275,29 +275,14 @@ class ScalarExpr:
         """Fold to a complex float; exact arithmetic is kept per-term until the end.
 
         ``params`` maps parameter names to values, ``averages`` maps average
-        *families* (unconjugated symbols) to values.
+        *families* (unconjugated symbols) to values.  Average values may be
+        numpy arrays, which evaluates the expression elementwise.
         """
         params = params or {}
         averages = averages or {}
         total = 0j
         for coeff, pfac, afac in self.terms:
-            val = coeff.to_complex()
-            for p, conjd, n in pfac:
-                if p.name not in params:
-                    raise EvaluationError(f"parameter {p.name!r} is unbound")
-                v = complex(params[p.name])
-                if conjd:
-                    v = v.conjugate()
-                val *= v**n
-            for s, n in afac:
-                fam = s.family
-                if fam not in averages:
-                    raise EvaluationError(f"average {fam!r} is unbound")
-                v = complex(averages[fam])
-                if s.conjugated:
-                    v = v.conjugate()
-                val *= v**n
-            total += val
+            total += term_value(coeff, pfac, afac, params, averages)
         return total
 
     def substitute(self, avg_map: dict) -> "ScalarExpr":
@@ -320,6 +305,34 @@ class ScalarExpr:
                 term = term * factor**n
             out = out + term
         return out
+
+
+def term_value(coeff: ComplexRational, pfac, afac, params: dict,
+               averages: dict):
+    """Value of one term: coefficient times parameter and average monomials.
+
+    ``pfac`` holds ``(Parameter, conjugated, power)`` and ``afac`` holds
+    ``(AverageSymbol, power)``, the layout of :class:`ScalarExpr` terms.
+    ``params`` maps parameter names to numbers; ``averages`` maps average
+    families to numbers or numpy arrays, which pass through uncoerced.
+    """
+    val = coeff.to_complex()
+    for p, conjd, n in pfac:
+        if p.name not in params:
+            raise EvaluationError(f"parameter {p.name!r} is unbound")
+        v = complex(params[p.name])
+        if conjd:
+            v = v.conjugate()
+        val *= v**n
+    for s, n in afac:
+        fam = s.family
+        if fam not in averages:
+            raise EvaluationError(f"average {fam!r} is unbound")
+        v = averages[fam]
+        if s.conjugated:
+            v = v.conjugate()
+        val *= v**n
+    return val
 
 
 def _param_key(entry):

@@ -23,6 +23,7 @@ import numpy as np
 from ..algebra.averages import average_symbol
 from ..algebra.qexpr import QExpr
 from ..algebra.render import render_average
+from ..algebra.scalars import ScalarExpr
 from ..completion import complete, filter_by_name, missing_averages
 from ..correlation import (build_correlation_system, correlation_trajectory,
                            decay_time, initial_values, linearize_steady,
@@ -271,7 +272,7 @@ def cmd_solve(args) -> int:
             print(f"oracle warning: {warning}")
         deviations = []
         for k, lhs in enumerate(prog.layout):
-            op = QExpr(parsed.model.space, ((lhs.ops, _one()),))
+            op = QExpr(parsed.model.space, ((lhs.ops, ScalarExpr.one()),))
             ref = me.expect(op)
             if lhs.conjugated:
                 ref = ref.conjugate()
@@ -286,12 +287,6 @@ def cmd_solve(args) -> int:
     write_csv(out, header, columns)
     print(f"wrote {out}")
     return 0
-
-
-def _one():
-    from ..algebra.scalars import ScalarExpr
-
-    return ScalarExpr.one()
 
 
 def _correlation_inputs(parsed: ParsedModel, args, params):

@@ -27,17 +27,9 @@ KB = 1.380649e-23                # J / K
 
 
 def _series_of_scalar(expr, traj: Trajectory, params: dict) -> np.ndarray:
-    out = np.zeros(len(traj), dtype=np.complex128)
-    for coeff, pfac, afac in expr.terms:
-        vals = np.full(len(traj), coeff.to_complex())
-        for p, conjd, power in pfac:
-            if p.name not in params:
-                raise EvaluationError(f"parameter {p.name!r} is unbound")
-            v = complex(params[p.name])
-            vals *= (v.conjugate() if conjd else v) ** power
-        for sym, power in afac:
-            vals *= traj.column(sym) ** power
-        out += vals
+    columns = {fam: traj.column(fam) for fam in expr.average_families()}
+    out = np.empty(len(traj), dtype=np.complex128)
+    out[:] = expr.evaluate(params, columns)
     return out
 
 

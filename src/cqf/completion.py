@@ -30,7 +30,8 @@ class FilterFunction:
     """Predicate deciding whether an average is kept.
 
     Must be deterministic and conjugation-symmetric: an average and its
-    conjugate are kept or dropped together.
+    conjugate are kept or dropped together.  Filters compare by name and
+    predicate object, which is how expansion results are cached.
     """
 
     name: str
@@ -38,12 +39,6 @@ class FilterFunction:
 
     def keep(self, sym: AverageSymbol) -> bool:
         return self.predicate(sym)
-
-    @property
-    def cache_key(self):
-        if self.name.startswith("custom"):
-            return (self.name, id(self.predicate))
-        return self.name
 
 
 FILTER_NONE = FilterFunction("none", lambda sym: True)
@@ -94,7 +89,7 @@ def complete(eqs: EquationSet, order=None, filt="inherit",
         )
     spec = eqs.order if order is None else OrderSpec.of(order)
     active_filter = eqs.filter if filt == "inherit" else filt
-    if spec.cache_key != eqs.order.cache_key or active_filter is not eqs.filter:
+    if spec != eqs.order or active_filter is not eqs.filter:
         from .algebra.qexpr import QExpr
         from .algebra.scalars import ScalarExpr
         from .meanfield import lhs_operator_sequence

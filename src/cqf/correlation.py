@@ -12,7 +12,9 @@ affine,
 
     dy/dtau = M y + d,
 
-and the spectrum follows from the one-sided Fourier transform evaluated via
+and M and d are read off the same lowered term table that drives the delay
+integration, with the steady averages bound as external constants.  The
+spectrum follows from the one-sided Fourier transform evaluated via
 the resolvent: solve (i w - M) x = y(0) + d/(i w) per frequency and take
 S(w) = 2 Re x_primary.  Away from steady state the single-time averages are
 co-evolved in the delay instead.
@@ -29,10 +31,9 @@ from .algebra.qexpr import QExpr, append_frozen, mul_sequences
 from .algebra.render import render_average
 from .algebra.scalars import ScalarExpr
 from .cumulant import expand_scalar
-from .errors import (AlgebraError, ClosureError, ConsistencyError,
-                     EvaluationError)
+from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from .meanfield import EquationSet, MeanfieldEquation, average, derive_equation, qle_rhs
-from .numerics.lowering import lower, state_mapping
+from .numerics.lowering import RHSProgram, lower, state_mapping
 from .numerics.steppers import StepperConfig, Trajectory, integrate
 
 
@@ -184,74 +185,49 @@ def initial_values(cs: CorrelationSystem, state) -> np.ndarray:
     return y0
 
 
-def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem:
-    """Coefficient collection of the affine steady-state delay dynamics.
+def _lower(cs: CorrelationSystem) -> RHSProgram:
+    """The delay equations as a term table, steady averages as externals."""
+    eqs = EquationSet(cs.equations, cs.base.model, cs.base.order, cs.base.filter)
+    return lower(eqs, external=cs.constants)
 
-    Every right-hand side must be affine in the correlation variables once
-    steady averages and parameters are substituted; anything else indicates
-    a broken frozen-factor invariant.  Delay-constant variables (frozen
-    products with no delayed factor, as produced by coherent driving) are
-    folded into the drive vector rather than kept as trivial rows.
+
+def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem:
+    """The affine steady-state delay dynamics, read off the lowered term table.
+
+    Once steady averages and parameters are folded in, every term must be
+    constant or carry exactly one correlation variable to the first power;
+    anything else indicates a broken frozen-factor invariant.
+    Delay-constant variables (frozen products with no delayed factor, as
+    produced by coherent driving) are folded into the drive vector rather
+    than kept as trivial rows.
     """
     if not cs.steady:
         raise AlgebraError("linearization requires a steady-state system")
-    state_map = _as_state_map(cs, state)
-    y0_all = initial_values(cs, state_map)
-    dynamic: list[int] = []
-    const_value: dict = {}
-    for k, eq in enumerate(cs.equations):
-        if eq.lhs.is_correlation and not eq.lhs.ops:
-            const_value[eq.lhs] = complex(y0_all[k])
-        else:
-            dynamic.append(k)
     if not cs.equations[0].lhs.ops:
         raise AlgebraError(
             "the primary correlation variable is constant in the delay; "
             "use the trajectory path instead"
         )
-    index = {cs.equations[k].lhs: j for j, k in enumerate(dynamic)}
-    n = len(dynamic)
+    state_map = _as_state_map(cs, state)
+    y0 = initial_values(cs, state_map)
+    prog = _lower(cs)
+    n = prog.size
     M = np.zeros((n, n), dtype=np.complex128)
     d = np.zeros(n, dtype=np.complex128)
-    for i, k in enumerate(dynamic):
-        for coeff, pfac, afac in cs.equations[k].rhs.terms:
-            base = coeff.to_complex()
-            for p, conjd, power in pfac:
-                if p.name not in params:
-                    raise EvaluationError(f"parameter {p.name!r} is unbound")
-                v = complex(params[p.name])
-                base *= (v.conjugate() if conjd else v) ** power
-            corr_slot = None
-            corr_power = 0
-            for sym, power in afac:
-                if sym.is_correlation and sym in const_value:
-                    base *= const_value[sym] ** power
-                elif sym.is_correlation:
-                    corr_slot = index.get(sym)
-                    if corr_slot is None:
-                        raise ConsistencyError(
-                            f"correlation variable {render_average(sym)} "
-                            "has no equation"
-                        )
-                    corr_power += power
-                else:
-                    fam = sym.family
-                    if fam not in state_map:
-                        raise ClosureError(
-                            f"steady value of {render_average(fam)} unavailable"
-                        )
-                    v = state_map[fam]
-                    base *= (np.conj(v) if sym.conjugated else v) ** power
-            if corr_power == 0:
-                d[i] += base
-            elif corr_power == 1:
-                M[i, corr_slot] += base
-            else:
-                raise ConsistencyError(
-                    "right-hand side is nonlinear in correlation variables"
-                )
-    y0 = np.array([y0_all[k] for k in dynamic], dtype=np.complex128)
-    return LinearSystem(M, d, y0, 0)
+    for term, c in zip(prog.terms, prog.coefficients(params, state_map)):
+        if not term.state_factors:
+            d[term.equation] += c
+        elif (len(term.state_factors) == 1
+              and term.state_factors[0][1:] == (False, 1)):
+            M[term.equation, term.state_factors[0][0]] += c
+        else:
+            raise ConsistencyError(
+                "right-hand side is nonlinear in correlation variables"
+            )
+    dyn = [k for k, lhs in enumerate(prog.layout) if lhs.ops]
+    const = [k for k, lhs in enumerate(prog.layout) if not lhs.ops]
+    drive = d[dyn] + M[np.ix_(dyn, const)] @ y0[const]
+    return LinearSystem(M[np.ix_(dyn, dyn)], drive, y0[dyn], 0)
 
 
 def spectrum_laplace(ls: LinearSystem, omegas) -> SpectrumResult:
@@ -291,15 +267,8 @@ def correlation_trajectory(cs: CorrelationSystem, state, tauspan,
                            saveat=None) -> Trajectory:
     """Integrate the delay equations; first column is the primary variable."""
     state_map = _as_state_map(cs, state)
-    eqs = EquationSet(cs.equations, cs.base.model, cs.base.order, cs.base.filter)
-    prog = lower(eqs, external=cs.constants)
-    missing = [s for s in cs.constants if s not in state_map]
-    if missing:
-        raise ClosureError(
-            "steady averages unavailable: "
-            + ", ".join(render_average(s) for s in missing)
-        )
-    bound = prog.bind(params or {}, {s: state_map[s] for s in cs.constants})
+    prog = _lower(cs)
+    bound = prog.bind(params or {}, state_map)
     if y0 is None:
         y0 = initial_values(cs, state_map)
     return integrate(bound, y0, tauspan, cfg, saveat=saveat,

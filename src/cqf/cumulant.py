@@ -112,17 +112,6 @@ class OrderSpec:
             return self.maximum
         return max(orders) if self.reducer == "max" else min(orders)
 
-    @property
-    def cache_key(self):
-        return (self.uniform, self.per_subspace, self.reducer)
-
-
-def _filter_key(filt):
-    if filt is None:
-        return None
-    key = getattr(filt, "cache_key", None)
-    return key if key is not None else id(filt)
-
 
 def _keeps(filt, sym: AverageSymbol) -> bool:
     return True if filt is None else filt.keep(sym)
@@ -154,24 +143,38 @@ def _symbol_factors(sym: AverageSymbol) -> tuple:
     return sym.ops
 
 
+def _partition_expansion(factors: tuple, block_value) -> ScalarExpr:
+    """Sum over the proper partitions of ``factors``, weighted (b-1)! (-1)^b.
+
+    Each block's average passes through ``block_value`` before the blocks
+    of a partition are multiplied.
+    """
+    total = ScalarExpr.zero()
+    for p in set_partitions(len(factors)):
+        b = len(p)
+        if b == 1:
+            continue
+        term = ScalarExpr.number(math.factorial(b - 1) * (-1) ** b)
+        for block in p:
+            term = term * block_value(
+                _average_of_product(factors[i] for i in block))
+            if term.is_zero:
+                break
+        total = total + term
+    return total
+
+
 def joint_cumulant(factors) -> ScalarExpr:
     """The partition-sum cumulant of an operator product (all partitions).
 
     ``factors`` must be the factor sequence of a canonical product; the
-    full-sequence average enters with coefficient one.
+    full-sequence average enters with coefficient one.  The cumulant is the
+    full average minus its one-step moment expansion.
     """
     factors = tuple(factors)
     if not factors:
         raise AlgebraError("the joint cumulant of an empty product is undefined")
-    out = ScalarExpr.zero()
-    for p in set_partitions(len(factors)):
-        b = len(p)
-        weight = math.factorial(b - 1) * (-1) ** (b - 1)
-        term = ScalarExpr.number(weight)
-        for block in p:
-            term = term * _average_of_product(factors[i] for i in block)
-        out = out + term
-    return out
+    return _average_of_product(factors) - moment_expansion_once(factors)
 
 
 def moment_expansion_once(factors) -> ScalarExpr:
@@ -183,17 +186,7 @@ def moment_expansion_once(factors) -> ScalarExpr:
     factors = tuple(factors)
     if not factors:
         raise AlgebraError("cannot expand an empty product")
-    out = ScalarExpr.zero()
-    for p in set_partitions(len(factors)):
-        b = len(p)
-        if b == 1:
-            continue
-        weight = math.factorial(b - 1) * (-1) ** b
-        term = ScalarExpr.number(weight)
-        for block in p:
-            term = term * _average_of_product(factors[i] for i in block)
-        out = out + term
-    return out
+    return _partition_expansion(factors, lambda block_avg: block_avg)
 
 
 _EXPANSION_CACHE: dict = {}
@@ -213,7 +206,7 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
     spec = OrderSpec.of(order)
     if avg.conjugated:
         return expand_average(avg.family, spec, filt).conj()
-    key = (avg, spec.cache_key, _filter_key(filt))
+    key = (avg, spec, filt)
     hit = _EXPANSION_CACHE.get(key)
     if hit is not None:
         return hit
@@ -222,21 +215,9 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
     elif avg.order <= spec.resolve(avg.touched()):
         result = ScalarExpr.from_average(avg)
     else:
-        factors = _symbol_factors(avg)
-        total = ScalarExpr.zero()
-        for p in set_partitions(len(factors)):
-            b = len(p)
-            if b == 1:
-                continue
-            weight = math.factorial(b - 1) * (-1) ** b
-            term = ScalarExpr.number(weight)
-            for block in p:
-                block_avg = _average_of_product(factors[i] for i in block)
-                term = term * expand_scalar(block_avg, spec, filt)
-                if term.is_zero:
-                    break
-            total = total + term
-        result = total
+        result = _partition_expansion(
+            _symbol_factors(avg),
+            lambda block_avg: expand_scalar(block_avg, spec, filt))
     _EXPANSION_CACHE[key] = result
     return result
 

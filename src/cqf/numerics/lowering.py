@@ -8,11 +8,14 @@ own.  Parameters bind at call time, not lowering time: one lowering serves
 a whole parameter sweep.
 
 Each right-hand side flattens into a term table (coefficient, parameter
-monomial, state reads, external constant reads).  Binding folds the exact
-coefficient and parameter monomial to one complex number per term (folds
-are shared between identical coefficient patterns) and picks an execution
-strategy: generated Python source for small systems, grouped vectorized
-gathers for large ones.  Both evaluate the same table.
+monomial, state reads, external constant reads), the only numeric form of a
+right-hand side.  :meth:`RHSProgram.coefficients` folds the exact
+coefficient, the parameter monomial and the external constants to one
+complex number per term (folds are shared between identical coefficient
+patterns).  Binding compiles the folded table into a derivative: generated
+Python source for small systems, grouped vectorized gathers for large ones.
+The steady-state linearization of correlation systems scatters the same
+folded table into a matrix and a drive vector.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from ..algebra.averages import AverageSymbol
 from ..algebra.render import render_average
+from ..algebra.scalars import term_value
 from ..errors import ClosureError, EvaluationError
 from ..meanfield import EquationSet
 
@@ -33,9 +37,9 @@ CODEGEN_TERM_LIMIT = 4000
 class LoweredTerm:
     equation: int
     coeff: object                      # ComplexRational
-    param_factors: tuple               # ((name, conjugated, power), ...)
+    param_factors: tuple               # ((Parameter, conjugated, power), ...)
     state_factors: tuple               # ((state index, conjugated, power), ...)
-    external_factors: tuple            # ((family symbol, conjugated, power), ...)
+    external_factors: tuple            # ((average symbol, power), ...)
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,10 @@ class RHSProgram:
                 return k
         raise ClosureError(f"symbol {render_average(sym)} is not in the state layout")
 
-    def bind(self, params: dict | None = None,
-             constants: dict | None = None) -> "BoundRHS":
-        """Fold parameters and external constants into a callable derivative."""
+    def coefficients(self, params: dict | None = None,
+                     constants: dict | None = None) -> np.ndarray:
+        """Fold each term's coefficient, parameters and external constants
+        to one complex number, in term order."""
         params = dict(params or {})
         missing = [p for p in self.parameters if p not in params]
         if missing:
@@ -78,20 +83,16 @@ class RHSProgram:
             key = (term.coeff, term.param_factors, term.external_factors)
             val = fold_cache.get(key)
             if val is None:
-                val = term.coeff.to_complex()
-                for p, conjd, power in term.param_factors:
-                    v = complex(params[p.name])
-                    if conjd:
-                        v = v.conjugate()
-                    val *= v**power
-                for fam, conjd, power in term.external_factors:
-                    v = constants[fam]
-                    if conjd:
-                        v = v.conjugate()
-                    val *= v**power
-                fold_cache[key] = val
+                val = fold_cache[key] = term_value(
+                    term.coeff, term.param_factors, term.external_factors,
+                    params, constants)
             coeffs[k] = val
-        return BoundRHS(self, coeffs)
+        return coeffs
+
+    def bind(self, params: dict | None = None,
+             constants: dict | None = None) -> "BoundRHS":
+        """Fold parameters and external constants into a callable derivative."""
+        return BoundRHS(self, self.coefficients(params, constants))
 
 
 class BoundRHS:
@@ -210,7 +211,7 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
                     conj_needed = sym.conjugated != lhs.conjugated
                     state_factors.append((k, conj_needed, power))
                 elif fam in external_set:
-                    external_factors.append((fam, sym.conjugated, power))
+                    external_factors.append((sym, power))
                 else:
                     missing.add(render_average(fam))
                     ok = False

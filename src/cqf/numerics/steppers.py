@@ -102,27 +102,30 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
 
 
 class _Recorder:
-    """Collects output rows, either at solver steps or at requested times."""
+    """Collects output rows, either at solver steps or at requested times.
+
+    Rows at requested times go straight into one preallocated array; the
+    number of solver steps is not known in advance, so those rows are
+    collected in a list.
+    """
 
     def __init__(self, saveat, t0, y0, f0):
-        self.times: list[float] = []
-        self.rows: list[np.ndarray] = []
         if saveat is None:
             self.saveat = None
-            self.times.append(t0)
-            self.rows.append(y0.copy())
-        else:
-            self.saveat = np.asarray(saveat, dtype=float)
-            if len(self.saveat) == 0:
-                raise AlgebraError("saveat must contain at least one time")
-            if np.any(np.diff(self.saveat) <= 0):
-                raise AlgebraError("saveat times must be strictly increasing")
-            self.cursor = 0
-            while (self.cursor < len(self.saveat)
-                   and self.saveat[self.cursor] <= t0):
-                self.times.append(float(self.saveat[self.cursor]))
-                self.rows.append(y0.copy())
-                self.cursor += 1
+            self.times = [t0]
+            self.rows = [y0.copy()]
+            return
+        self.saveat = np.asarray(saveat, dtype=float)
+        if len(self.saveat) == 0:
+            raise AlgebraError("saveat must contain at least one time")
+        if np.any(np.diff(self.saveat) <= 0):
+            raise AlgebraError("saveat times must be strictly increasing")
+        self.rows = np.empty((len(self.saveat),) + y0.shape, dtype=y0.dtype)
+        self.cursor = 0
+        while (self.cursor < len(self.saveat)
+               and self.saveat[self.cursor] <= t0):
+            self.rows[self.cursor] = y0
+            self.cursor += 1
 
     def on_step(self, t_prev, y_prev, f_prev, t_new, y_new, f_new):
         if self.saveat is None:
@@ -132,15 +135,17 @@ class _Recorder:
         while self.cursor < len(self.saveat) and self.saveat[self.cursor] <= t_new + 1e-12 * max(1.0, abs(t_new)):
             t = float(self.saveat[self.cursor])
             if t >= t_new:
-                self.rows.append(y_new.copy())
+                self.rows[self.cursor] = y_new
             else:
-                self.rows.append(_hermite(t, t_prev, y_prev, f_prev,
-                                          t_new, y_new, f_new))
-            self.times.append(t)
+                self.rows[self.cursor] = _hermite(t, t_prev, y_prev, f_prev,
+                                                  t_new, y_new, f_new)
             self.cursor += 1
 
     def finish(self, layout) -> Trajectory:
-        return Trajectory(np.array(self.times), np.array(self.rows), layout)
+        if self.saveat is None:
+            return Trajectory(np.array(self.times), np.array(self.rows), layout)
+        return Trajectory(self.saveat[:self.cursor].copy(),
+                          self.rows[:self.cursor], layout)
 
 
 def integrate(f, u0, tspan, cfg: StepperConfig | None = None,

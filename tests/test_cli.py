@@ -173,6 +173,34 @@ def _fake_trajectory(laser, columns):
     return Trajectory(np.arange(states.shape[0], dtype=float), states, layout)
 
 
+def test_expr_observable_matches_row_by_row_evaluation(laser):
+    from cqf import FILTER_PHASE, average, expand_scalar, state_mapping
+    from cqf.cli import evaluate_observables
+
+    n_sym = _sym(laser.ad, laser.a)
+    coh_sym = _sym(laser.ad, laser.sge)
+    traj = _fake_trajectory(laser, {
+        n_sym: np.array([0.5, 2.0, 3.25]),
+        coh_sym: np.array([0.1 + 0.2j, -0.3j, 1.5 - 0.25j]),
+    })
+    # g<a' sge> + <a seg> + <a a'>: a parameter, the conjugated occurrence
+    # of <a' sge>, and <a'a> + 1 after normal ordering
+    expr = laser.g * qmul(laser.ad, laser.sge) + qmul(laser.a, laser.seg) \
+        + qmul(laser.a, laser.ad)
+    obs = ObservableDef("x", "expr", expr=expr)
+    series = evaluate_observables([obs], traj, 2, FILTER_PHASE,
+                                  laser.params)["x"]
+    expanded = expand_scalar(average(expr), 2, FILTER_PHASE)
+    assert any(params for _, params, _ in expanded.terms)
+    assert any(s.conjugated for s in expanded.averages())
+    assert any(not params and not avgs for _, params, avgs in expanded.terms)
+    expected = [expanded.evaluate(laser.params,
+                                  state_mapping(traj.layout, row))
+                for row in traj.states]
+    assert series.dtype == np.complex128
+    assert np.allclose(series, expected, rtol=1e-14, atol=0)
+
+
 def test_mandel_q_poissonian_and_number_state(laser):
     n_sym = _sym(laser.ad, laser.a)
     n4_sym = _sym(laser.ad, laser.ad, laser.a, laser.a)

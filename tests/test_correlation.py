@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from cqf import (FILTER_PHASE, I_UNIT, StepperConfig, average_symbol,
-                 build_correlation_system, complete, correlation_symbol,
-                 correlation_trajectory, decay_time, initial_values,
-                 linearize_steady, identity, lower, initial_state,
-                 meanfield_derive, qmul, spectrum_fourier, spectrum_laplace,
-                 state_mapping, steady_state)
+from cqf import (FILTER_PHASE, I_UNIT, EquationSet, StepperConfig,
+                 average_symbol, build_correlation_system, complete,
+                 correlation_symbol, correlation_trajectory, decay_time,
+                 initial_values, linearize_steady, identity, lower,
+                 initial_state, meanfield_derive, qmul, spectrum_fourier,
+                 spectrum_laplace, state_mapping, steady_state)
 from cqf.algebra import ScalarExpr
-from cqf.errors import AlgebraError
+from cqf.errors import AlgebraError, ClosureError, EvaluationError
 from conftest import make_laser
 
 
@@ -107,8 +107,6 @@ def test_sum_operators_are_rejected(laser, laser_steady):
 def test_unclosed_base_set_is_rejected(laser):
     eqs = meanfield_derive([qmul(laser.ad, laser.a)], laser.model, 2,
                            FILTER_PHASE)
-    from cqf.errors import ClosureError
-
     with pytest.raises(ClosureError):
         build_correlation_system(laser.ad, laser.a, eqs)
 
@@ -258,3 +256,56 @@ def test_driven_system_refuses_omega_zero(laser, laser_steady):
         spectrum_laplace(driven, np.linspace(-1, 1, 21))
     ok = spectrum_laplace(driven, np.array([0.5, 1.0]))
     assert len(ok.values) == 2
+
+
+def _assert_one_term_table(cs, state, params):
+    """The delay derivative and the linearization agree on random states."""
+    ls = linearize_steady(cs, state, params)
+    eqs = EquationSet(cs.equations, cs.base.model, cs.base.order,
+                      cs.base.filter)
+    prog = lower(eqs, external=cs.constants)
+    base_layout = tuple(eq.lhs for eq in cs.base.equations)
+    f = prog.bind(params, state_mapping(base_layout, state))
+    y0 = initial_values(cs, state)
+    dyn = [k for k, eq in enumerate(cs.equations) if eq.lhs.ops]
+    const = [k for k, eq in enumerate(cs.equations) if not eq.lhs.ops]
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        y = y0.copy()
+        y[dyn] = rng.normal(size=len(dyn)) + 1j * rng.normal(size=len(dyn))
+        ydot = f(0.0, y)
+        expected = ls.matrix @ y[dyn] + ls.drive
+        scale = (np.max(np.abs(ls.matrix)) * np.max(np.abs(y))
+                 + np.max(np.abs(ls.drive)))
+        assert np.max(np.abs(ydot[dyn] - expected)) < 1e-13 * scale
+        assert np.all(ydot[const] == 0)
+    return ls, const
+
+
+def test_linearization_reports_unbound_inputs(laser, laser_steady):
+    closed, prog, yss = laser_steady
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    with pytest.raises(EvaluationError):
+        linearize_steady(cs, yss, {})
+    state = state_mapping(prog.layout, yss)
+    del state[_sym(laser.see).family]
+    with pytest.raises(ClosureError):
+        linearize_steady(cs, state, laser.params)
+
+
+def test_laser_linearization_is_the_lowered_derivative(laser, laser_steady):
+    closed, prog, yss = laser_steady
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    _assert_one_term_table(cs, yss, laser.params)
+
+
+def test_driven_linearization_is_the_lowered_derivative(optomech):
+    a, b = optomech.a, optomech.b
+    closed = complete(meanfield_derive([qmul(b.dag(), b), qmul(a.dag(), a)],
+                                       optomech.model, 2, None))
+    # the identity holds for any reference state, steady or not
+    rng = np.random.default_rng(11)
+    state = rng.normal(size=len(closed)) + 1j * rng.normal(size=len(closed))
+    cs = build_correlation_system(a.dag(), a, closed, steady=True)
+    ls, const = _assert_one_term_table(cs, state, optomech.params)
+    assert const and np.max(np.abs(ls.drive)) > 1e-3

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqf import (FILTER_PHASE, OrderSpec, average, average_symbol,
-                 expand_average, expand_scalar, joint_cumulant,
+from cqf import (FILTER_PHASE, FilterFunction, OrderSpec, average,
+                 average_symbol, expand_average, expand_scalar, joint_cumulant,
                  moment_expansion_once, qmul, set_partitions)
 from cqf.algebra import ScalarExpr
 from cqf.cumulant import clear_expansion_cache
@@ -291,3 +291,12 @@ def test_conjugated_occurrence_expands_to_conjugate(laser):
     assert sym.conjugated
     plain = expand_average(sym.family, 2, None)
     assert expand_average(sym, 2, None) == plain.conj()
+
+
+def test_same_named_filters_do_not_share_cached_expansions(laser):
+    sym = average_symbol(_ops(laser.ad, laser.a, laser.see))
+    keep_all = FilterFunction("mine", lambda s: True)
+    drop_order_one = FilterFunction("mine", lambda s: s.order != 1)
+    assert not expand_average(sym, 2, keep_all).is_zero
+    # every proper partition of three factors has a singleton block
+    assert expand_average(sym, 2, drop_order_one).is_zero
