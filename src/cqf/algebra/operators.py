@@ -12,8 +12,6 @@ after every regular factor, and therefore stays rightmost in any sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DESTROY = "destroy"
 CREATE = "create"
 TRANSITION = "transition"

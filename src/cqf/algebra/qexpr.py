@@ -15,12 +15,10 @@ in cumulants gives wrong closures (the ordering constant would be lost).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import AlgebraError, SpaceMismatchError
 from .operators import (CREATE, DESTROY, TRANSITION, FrozenOp, FundamentalOp,
                         adjoint_sequence, seq_key)
-from .scalars import CR_ONE, ComplexRational, ScalarExpr
+from .scalars import ComplexRational, ScalarExpr
 from .spaces import FOCK, NLEVEL, ProductSpace
 
 _ONE_EXPR = ScalarExpr.one()
@@ -183,11 +181,6 @@ class QExpr:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_identity(self) -> bool:
-        return (len(self.terms) == 1 and self.terms[0][0] == ()
-                and self.terms[0][1] == _ONE_EXPR)
 
     def monomial_ops(self) -> tuple:
         """The factor tuple of a single plain product with unit coefficient."""

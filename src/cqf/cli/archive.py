@@ -14,9 +14,9 @@ import json
 from fractions import Fraction
 
 from ..algebra.averages import AverageSymbol
-from ..algebra.operators import CREATE, DESTROY, TRANSITION, FundamentalOp
+from ..algebra.operators import TRANSITION, FundamentalOp
 from ..algebra.scalars import ComplexRational, Parameter, ScalarExpr
-from ..algebra.spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace
+from ..algebra.spaces import HilbertSpace, ProductSpace
 from ..cumulant import OrderSpec
 from ..errors import ArchiveError
 from ..meanfield import EquationSet, MeanfieldEquation

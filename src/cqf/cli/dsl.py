@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from ..algebra.averages import AverageSymbol, average_symbol
+from ..algebra.averages import average_symbol
 from ..algebra.qexpr import QExpr, create, destroy, transition
-from ..algebra.render import render_average
 from ..algebra.scalars import I_UNIT, Parameter, ScalarExpr
 from ..algebra.spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace, fock, nlevel
 from ..cumulant import OrderSpec

@@ -20,20 +20,19 @@ import sys
 
 import numpy as np
 
-from ..algebra.averages import average_symbol
 from ..algebra.qexpr import QExpr
 from ..algebra.render import render_average
 from ..algebra.scalars import ScalarExpr
 from ..completion import complete, filter_by_name, missing_averages
 from ..correlation import (build_correlation_system, correlation_trajectory,
-                           decay_time, initial_values, linearize_steady,
-                           spectrum_fourier, spectrum_laplace)
+                           decay_time, linearize_steady, spectrum_fourier,
+                           spectrum_laplace)
 from ..cumulant import OrderSpec
 from ..errors import CqfError, DslError
 from ..meanfield import meanfield_derive
 from ..numerics import (StepperConfig, initial_state, integrate, lower,
                         state_mapping, steady_state)
-from ..oracle import TruncationSpec, ground_state, me_evolve, me_spectrum, to_matrix
+from ..oracle import TruncationSpec, ground_state, me_evolve, me_spectrum
 from . import archive as archive_mod
 from .dsl import ParsedModel, parse_model
 from .observables import evaluate_observables
@@ -110,9 +109,11 @@ def _parse_model_file(path: str) -> ParsedModel:
 def _resolve_order(parsed: ParsedModel, args) -> OrderSpec:
     if getattr(args, "order", None):
         text = args.order
-        if "," in text:
-            return OrderSpec.of(tuple(int(x) for x in text.split(",")))
-        return OrderSpec.of(int(text))
+        try:
+            orders = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise CqfError(f"--order expects N or N,N,..., got {text!r}") from None
+        return OrderSpec.of(orders if "," in text else orders[0])
     if parsed.options.order is not None:
         return parsed.options.order
     raise CqfError("no expansion order given (model file 'order' or --order)")
@@ -126,10 +127,11 @@ def _resolve_filter(parsed: ParsedModel, args):
 def _resolve_params(parsed: ParsedModel, args) -> dict:
     values = dict(parsed.options.param_values)
     for item in getattr(args, "set", []):
-        if "=" not in item:
-            raise CqfError(f"--set expects NAME=VALUE, got {item!r}")
         name, _, text = item.partition("=")
-        values[name.strip()] = float(text)
+        try:
+            values[name.strip()] = float(text)
+        except ValueError:
+            raise CqfError(f"--set expects NAME=VALUE, got {item!r}") from None
     declared = {p.name for p in parsed.model.parameters}
     unknown = set(values) - declared
     if unknown:
@@ -183,7 +185,10 @@ def _oracle_setup(parsed: ParsedModel, args):
     cutoffs = dict(parsed.options.cutoffs)
     for item in getattr(args, "cutoff", []):
         name, _, value = item.partition("=")
-        cutoffs[name.strip()] = int(value)
+        try:
+            cutoffs[name.strip()] = int(value)
+        except ValueError:
+            raise CqfError(f"--cutoff expects SPACE=N, got {item!r}") from None
     space = parsed.model.space
     entries = []
     for k, f in enumerate(space.factors):
@@ -350,12 +355,18 @@ def cmd_correlate(args) -> int:
 def cmd_spectrum(args) -> int:
     parsed = _parse_model_file(args.model)
     params = _resolve_params(parsed, args)
-    closed, cs, state_map, a_expr, b_expr = _correlation_inputs(parsed, args, params)
     if args.omega:
-        lo, hi, count = args.omega.split(":")
-        omegas = np.linspace(float(lo), float(hi), int(count))
+        try:
+            lo, hi, count = args.omega.split(":")
+            omegas = np.linspace(float(lo), float(hi), int(count))
+        except ValueError:
+            omegas = np.empty(0)
+        if omegas.size == 0:
+            raise CqfError("--omega expects MIN:MAX:COUNT with COUNT >= 1, "
+                           f"got {args.omega!r}")
     else:
         omegas = np.linspace(*DEFAULT_OMEGA)
+    closed, cs, state_map, a_expr, b_expr = _correlation_inputs(parsed, args, params)
     if cs.steady:
         ls = linearize_steady(cs, state_map, params)
         result = spectrum_laplace(ls, omegas)

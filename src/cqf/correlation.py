@@ -78,10 +78,6 @@ class CorrelationSystem:
     def layout(self) -> tuple[AverageSymbol, ...]:
         return tuple(eq.lhs for eq in self.equations)
 
-    def render(self) -> str:
-        return "\n".join(f"d{render_average(eq.lhs)}/dtau = {eq.rhs!r}"
-                         for eq in self.equations)
-
 
 def _corr_equation(sym: AverageSymbol, base: EquationSet) -> MeanfieldEquation:
     if not sym.ops:

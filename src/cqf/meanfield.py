@@ -13,7 +13,7 @@ persists in a stored equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
@@ -158,17 +158,6 @@ class EquationSet:
 
     def lhs_families(self) -> tuple[AverageSymbol, ...]:
         return tuple(eq.lhs.family for eq in self.equations)
-
-    def find(self, family: AverageSymbol) -> MeanfieldEquation | None:
-        family = family.family
-        for eq in self.equations:
-            if eq.lhs.family == family:
-                return eq
-        return None
-
-    def with_equations(self, equations) -> "EquationSet":
-        return EquationSet(tuple(equations), self.model, self.order,
-                           self.filter, self.archived)
 
     def render(self) -> str:
         return "\n".join(eq.render() for eq in self.equations)

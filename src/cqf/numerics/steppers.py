@@ -109,7 +109,7 @@ class _Recorder:
     collected in a list.
     """
 
-    def __init__(self, saveat, t0, y0, f0):
+    def __init__(self, saveat, t0, t1, y0):
         if saveat is None:
             self.saveat = None
             self.times = [t0]
@@ -120,6 +120,11 @@ class _Recorder:
             raise AlgebraError("saveat must contain at least one time")
         if np.any(np.diff(self.saveat) <= 0):
             raise AlgebraError("saveat times must be strictly increasing")
+        outside = (self.saveat < t0) | (self.saveat > t1 + 1e-12 * max(1.0, abs(t1)))
+        if outside.any():
+            raise AlgebraError(
+                f"saveat time {self.saveat[outside.argmax()]:.6g} lies outside "
+                f"the integration span [{t0:.6g}, {t1:.6g}]")
         self.rows = np.empty((len(self.saveat),) + y0.shape, dtype=y0.dtype)
         self.cursor = 0
         while (self.cursor < len(self.saveat)
@@ -154,8 +159,9 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
 
     ``f`` is any callable (a bound derivative program or a plain function).
     The trajectory is sampled at accepted solver steps, or at ``saveat``
-    times via Hermite interpolation.  Non-finite states and step-budget
-    exhaustion raise with the last good time attached.
+    times via Hermite interpolation; a ``saveat`` time outside ``tspan`` is
+    an error.  Non-finite states and step-budget exhaustion raise with the
+    last good time attached.
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
@@ -166,8 +172,8 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     if not t0 < t1:
         raise AlgebraError("tspan must satisfy t0 < t1")
     y = np.array(u0, dtype=np.complex128).copy()
+    recorder = _Recorder(saveat, t0, t1, y)
     f0 = np.asarray(f(t0, y), dtype=np.complex128)
-    recorder = _Recorder(saveat, t0, y, f0)
     edge = 1e-14 * max(1.0, abs(t1))
 
     t = t0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra.qexpr import QExpr
-from .algebra.spaces import FOCK, NLEVEL, ProductSpace
+from .algebra.spaces import FOCK, ProductSpace
 from .errors import AlgebraError, EvaluationError
 from .meanfield import ModelDefinition
 from .numerics.steppers import StepperConfig, integrate, steady_state

@@ -370,6 +370,22 @@ def test_cli_reports_dsl_errors(tmp_path, capsys):
     assert "oops" in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--set", "g=abc"]),
+    ("solve", ["--set", "g"]),
+    ("derive", ["--order", "2,x"]),
+    ("spectrum", ["--omega", "1:2:x"]),
+    ("spectrum", ["--omega", "1:2"]),
+    ("spectrum", ["--omega", "1:2:0"]),
+    ("solve", ["--oracle", "--cutoff", "cavity=x"]),
+])
+def test_malformed_flag_values_are_reported(laser_file, capsys, command, flags):
+    assert main([command, laser_file, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[-2]} expects ")
+    assert repr(flags[-1]) in err
+
+
 def test_cli_requires_parameter_values(laser_file, tmp_path, capsys):
     text = open(laser_file).read().replace("param nu = 4", "param nu")
     path = tmp_path / "nop.cqm"

@@ -1,0 +1,74 @@
+"""Source hygiene: no module under src/cqf imports a name it never uses.
+
+Package ``__init__.py`` files are skipped, since their imports are the
+re-exports.  A name counts as used wherever it is read, including as the
+base of an attribute access and in an annotation (also a quoted one).
+"""
+
+import ast
+import os
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "cqf")
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def _unused_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    used = _used(tree)
+    return [f"{lineno}: {name}" for lineno, name in _imported(tree) if name not in used]
+
+
+def test_no_unused_imports():
+    found = {}
+    for folder, _, files in os.walk(ROOT):
+        for name in sorted(files):
+            if name.endswith(".py") and name != "__init__.py":
+                path = os.path.join(folder, name)
+                unused = _unused_imports(path)
+                if unused:
+                    found[os.path.relpath(path, ROOT)] = unused
+    assert not found, f"unused imports: {found}"
+
+
+def test_scan_sees_annotations_and_attribute_bases(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import B, C, D, E\n"
+        "def f(x: B) -> 'C':\n"
+        "    return os.path.join(x)\n",
+        encoding="utf-8")
+    assert _unused_imports(path) == ["3: D", "3: E"]

@@ -1,13 +1,19 @@
 """Lowering and time integration."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from cqf import (FILTER_PHASE, StepperConfig, average_symbol, complete,
-                 initial_state, integrate, lower, meanfield_derive, qmul,
-                 state_mapping, steady_state)
+                 filter_by_name, initial_state, integrate, lower,
+                 meanfield_derive, qmul, state_mapping, steady_state)
+from cqf.cli import parse_model
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
-from cqf.numerics.lowering import CODEGEN_TERM_LIMIT, _compile_source, _compile_vector
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def _sym(*exprs):
@@ -80,25 +86,72 @@ def test_unbound_parameter_raises(laser, laser_closed):
         prog.bind({"Δ": 1, "g": 1, "κ": 1, "γ": 1})
 
 
-def test_program_matches_symbolic_evaluation(laser, laser_closed):
-    """Both execution strategies agree with direct scalar evaluation."""
+def _laser_order(order):
+    def build(laser):
+        eqs = meanfield_derive([qmul(laser.ad, laser.a)], laser.model, order,
+                               FILTER_PHASE)
+        return complete(eqs), laser.params
+    return build
+
+
+def _optomech(laser):
+    with open(os.path.join(ROOT, "models", "optomech.cqm"), encoding="utf-8") as fh:
+        parsed = parse_model(fh.read())
+    opts = parsed.options
+    eqs = meanfield_derive(opts.track, parsed.model, opts.order,
+                           filter_by_name(opts.filter_name))
+    return complete(eqs), dict(opts.param_values)
+
+
+def _laser_with_zero_row(laser):
+    # the phase filter kills every term of d<a>/dt: row 0 is empty
+    eqs = meanfield_derive([laser.a, qmul(laser.ad, laser.a)], laser.model, 2,
+                           FILTER_PHASE)
+    return complete(eqs), laser.params
+
+
+@pytest.mark.parametrize("build", [_laser_order(2), _laser_order(4), _optomech,
+                                   _laser_with_zero_row],
+                         ids=["laser-o2", "laser-o4", "optomech", "zero-row"])
+def test_program_matches_symbolic_evaluation(laser, build):
+    """The bound derivative agrees with direct scalar evaluation."""
+    closed, base = build(laser)
     rng = np.random.default_rng(11)
-    prog = lower(laser_closed)
+    prog = lower(closed)
     for _ in range(5):
-        params = {k: float(rng.uniform(0.1, 3)) for k in laser.params}
+        params = {k: float(rng.uniform(0.1, 3)) for k in base}
         y = rng.normal(size=prog.size) + 1j * rng.normal(size=prog.size)
-        coeffs = prog.bind(params)._coeffs
-        fast = _compile_source(prog, coeffs)
-        vector = _compile_vector(prog, coeffs)
-        out_fast = fast(0.0, y)
-        out_vec = vector(0.0, y)
+        out = prog.bind(params)(0.0, y)
+        assert out.shape == (prog.size,)
         state_map = state_mapping(prog.layout, y)
-        for k, eq in enumerate(laser_closed.equations):
+        for k, eq in enumerate(closed.equations):
             ref = eq.rhs.evaluate(params, state_map)
             if eq.lhs.conjugated:
                 ref = np.conj(ref)
-            assert abs(out_fast[k] - ref) <= 1e-12 * max(1.0, abs(ref))
-            assert abs(out_vec[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(out[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_bound_program_is_shared_across_threads(laser):
+    """Threads integrating one bound program get the serial trajectory."""
+    closed, params = _laser_order(4)(laser)
+    prog = lower(closed)
+    f = prog.bind(params)
+
+    def run(_):
+        return integrate(f, initial_state(prog.layout), (0.0, 5.0),
+                         StepperConfig.rk4(0.01)).states
+
+    serial = run(None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [fut.result(timeout=120)
+                       for fut in [pool.submit(run, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for states in results:
+        assert np.array_equal(states, serial)
 
 
 def test_exponential_decay_with_adaptive_steps():
@@ -123,6 +176,18 @@ def test_saveat_sampling_hits_requested_times():
                      StepperConfig.rk45(), saveat=times)
     assert np.allclose(traj.times, times)
     assert np.allclose(traj.states[:, 0], np.exp(-times), atol=1e-7)
+
+
+@pytest.mark.parametrize("saveat, bad", [([-1.0, 0.0, 5.0, 20.0], "-1"),
+                                         ([0.0, 5.0, 20.0], "20")])
+def test_saveat_outside_span_is_an_error(saveat, bad):
+    with pytest.raises(AlgebraError, match=f"saveat time {bad} lies outside"):
+        integrate(lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 10.0),
+                  StepperConfig.rk45(), saveat=saveat)
+    # the last time may overshoot t1 by rounding
+    traj = integrate(lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 10.0),
+                     StepperConfig.rk45(), saveat=[0.0, 10.0 + 1e-11])
+    assert len(traj) == 2
 
 
 def test_nan_guard():
