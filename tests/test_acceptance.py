@@ -21,10 +21,12 @@ from cqf import (FILTER_PHASE, StepperConfig, TruncationSpec, average,
                  steady_state, to_matrix)
 from cqf.algebra import I_UNIT, ScalarExpr
 from cqf.algebra.render import render_qexpr, render_scalar
+from cqf.cli import serialize
 from cqf.cli.observables import mandel_q, occupation_to_kelvin
 from conftest import make_tavis
 
 from test_cumulant import brute_expand
+from test_golden import TAVIS_DIGESTS, archive_digest
 
 
 def _avg(*exprs) -> ScalarExpr:
@@ -151,6 +153,7 @@ def test_criterion_2_equation_counts(three_level, tavis50):
     small_elapsed = time.time() - t0
     _, closed50, derivation_time = tavis50
     assert len(closed50) == 1326
+    assert archive_digest(serialize(closed50)) == TAVIS_DIGESTS[50]
     assert derivation_time <= 600.0, "50-atom derivation exceeded ten minutes"
     print(f"\nACCEPTANCE 2: PASS - 30 / 6 / 10 / 21 / 1326 equations "
           f"(N=50 derivation {derivation_time:.0f}s, small counts "
