@@ -10,58 +10,91 @@ structurally.  Floating point enters only through :meth:`ScalarExpr.evaluate`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import AlgebraError, EvaluationError
 from .averages import AverageSymbol
 
 
 class ComplexRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact Gaussian rational (x + y i) / d held as three Python ints.
 
-    __slots__ = ("re", "im")
+    Invariants: d > 0 and gcd(x, y, d) = 1, with zero stored as (0, 0, 1).
+    Every value has exactly one triple, so equality and hashing are
+    structural.  ``re`` and ``im`` give the parts as :class:`Fraction`.
+    """
+
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.x, self.y, self.d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # Over the lcm of two reduced denominators the triple is coprime.
+        d = lcm(re.denominator, im.denominator)
+        self.x = re.numerator * (d // re.denominator)
+        self.y = im.numerator * (d // im.denominator)
+        self.d = d
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return _reduced(self.x * d2 + other.x * d1, self.y * d2 + other.y * d1,
+                        d1 * d2)
 
     def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * other.d)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return _reduced(-self.x, -self.y, self.d)
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return _reduced(self.x, -self.y, self.d)
 
     def scale(self, q: Fraction) -> "ComplexRational":
-        return ComplexRational(self.re * q, self.im * q)
+        n = q.numerator
+        return _reduced(self.x * n, self.y * n, self.d * q.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ComplexRational)
-                and self.re == other.re and self.im == other.im)
+        return (isinstance(other, ComplexRational) and self.x == other.x
+                and self.y == other.y and self.d == other.d)
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.x, self.y, self.d))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.x / self.d, self.y / self.d)
 
     def __repr__(self) -> str:
         return f"ComplexRational({self.re}, {self.im})"
+
+
+def _reduced(x: int, y: int, d: int) -> ComplexRational:
+    """The value (x + y i) / d of any ints with d > 0."""
+    g = gcd(x, y, d)
+    c = object.__new__(ComplexRational)
+    c.x, c.y, c.d = x // g, y // g, d // g
+    return c
 
 
 CR_ZERO = ComplexRational(0, 0)

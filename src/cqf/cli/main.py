@@ -182,14 +182,26 @@ def _stepper(parsed: ParsedModel, args, tspan) -> StepperConfig:
 
 
 def _oracle_setup(parsed: ParsedModel, args):
+    """Truncation and initial density matrix for ``--oracle``, or None.
+
+    Runs before anything is derived, so a bad ``--cutoff`` fails at once.
+    """
+    if not args.oracle:
+        return None
+    space = parsed.model.space
+    fock_names = [f.name for f in space.factors if f.kind == "fock"]
     cutoffs = dict(parsed.options.cutoffs)
-    for item in getattr(args, "cutoff", []):
+    for item in args.cutoff:
         name, _, value = item.partition("=")
+        name = name.strip()
         try:
-            cutoffs[name.strip()] = int(value)
+            cutoffs[name] = int(value)
         except ValueError:
             raise CqfError(f"--cutoff expects SPACE=N, got {item!r}") from None
-    space = parsed.model.space
+        if name not in fock_names:
+            raise CqfError(f"--cutoff expects SPACE=N with SPACE one of the "
+                           f"model's Fock spaces ({', '.join(fock_names)}), "
+                           f"got {item!r}: no Fock space {name!r}")
     entries = []
     for k, f in enumerate(space.factors):
         if f.kind == "fock":
@@ -246,6 +258,7 @@ def _observable_columns(parsed, traj, order, filt, params, header, columns):
 def cmd_solve(args) -> int:
     parsed = _parse_model_file(args.model)
     params = _resolve_params(parsed, args)
+    oracle = _oracle_setup(parsed, args)
     closed = _closed_equations(parsed, args)
     if missing_averages(closed):
         raise CqfError("equation set is not closed")
@@ -269,8 +282,8 @@ def cmd_solve(args) -> int:
     _observable_columns(parsed, traj, closed.order, closed.filter, params,
                         header, columns)
 
-    if args.oracle:
-        trunc, rho0 = _oracle_setup(parsed, args)
+    if oracle:
+        trunc, rho0 = oracle
         me = me_evolve(parsed.model, trunc, rho0, tspan, params=params,
                        saveat=saveat)
         for warning in me.warnings:
@@ -329,6 +342,7 @@ def _tau_window(cs, state_map, params, args):
 def cmd_correlate(args) -> int:
     parsed = _parse_model_file(args.model)
     params = _resolve_params(parsed, args)
+    oracle = _oracle_setup(parsed, args)
     closed, cs, state_map, a_expr, b_expr = _correlation_inputs(parsed, args, params)
     tau_max = _tau_window(cs, state_map, params, args)
     taus = np.linspace(0.0, tau_max, args.tau_points)
@@ -337,8 +351,8 @@ def cmd_correlate(args) -> int:
     corr = traj.states[:, 0]
     header = ["tau", "ReC", "ImC"]
     columns = [traj.times, corr.real, corr.imag]
-    if args.oracle:
-        trunc, rho0 = _oracle_setup(parsed, args)
+    if oracle:
+        trunc, rho0 = oracle
         omegas = np.linspace(*DEFAULT_OMEGA)
         _, _, corr_me, taus_me = me_spectrum(
             parsed.model, trunc, a_expr, b_expr, omegas, params=params,
@@ -366,6 +380,7 @@ def cmd_spectrum(args) -> int:
                            f"got {args.omega!r}")
     else:
         omegas = np.linspace(*DEFAULT_OMEGA)
+    oracle = _oracle_setup(parsed, args)
     closed, cs, state_map, a_expr, b_expr = _correlation_inputs(parsed, args, params)
     if cs.steady:
         ls = linearize_steady(cs, state_map, params)
@@ -380,8 +395,8 @@ def cmd_spectrum(args) -> int:
         result = spectrum_fourier(taus, traj.states[:, 0], omegas)
     header = ["omega", "S"]
     columns = [result.omegas, result.values]
-    if args.oracle:
-        trunc, rho0 = _oracle_setup(parsed, args)
+    if oracle:
+        trunc, rho0 = oracle
         tau_max = args.tau_max or 60.0
         _, s_me, _, _ = me_spectrum(parsed.model, trunc, a_expr, b_expr,
                                     omegas, params=params, rho0=rho0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
-from .algebra.operators import adjoint_sequence
+from .algebra.operators import adjoint_sequence, touched_subspaces
 from .algebra.qexpr import QExpr, adjoint, qmul
 from .algebra.render import latex_average, latex_scalar, render_average, render_scalar
 from .algebra.scalars import I_UNIT, Parameter, ScalarExpr
@@ -94,12 +94,28 @@ def average(x: QExpr) -> ScalarExpr:
 
 
 def qle_rhs(O: QExpr, model: ModelDefinition) -> QExpr:
-    """Right-hand side of the operator equation of motion, in canonical form."""
+    """Right-hand side of the operator equation of motion, in canonical form.
+
+    Only the Hamiltonian terms and the jumps that act on a subspace of O
+    enter.  Factors on disjoint subspaces commute (there are no fermions),
+    so every dropped h gives i[h, O] = 0 and every dropped c gives
+    D[c]O = 0 exactly: the result equals the full formula term for term.
+    """
     if O.space != model.space:
         raise SpaceMismatchError("operator lives on a different space than the model")
-    H = model.hamiltonian
+    if any(ops and ops[-1].is_frozen for ops, _ in O.terms):
+        raise AlgebraError("nothing may be multiplied to the right of a frozen factor")
+    support = frozenset().union(*(touched_subspaces(ops) for ops, _ in O.terms))
+
+    def touches(ops) -> bool:
+        return not support.isdisjoint(touched_subspaces(ops))
+
+    H = QExpr(model.space, tuple(term for term in model.hamiltonian.terms
+                                 if touches(term[0])))
     rhs = (qmul(H, O) + qmul(O, H).scale(-1)).scale(I_UNIT)
     for c, rate in zip(model.jumps, model.rates):
+        if not any(touches(ops) for ops, _ in c.terms):
+            continue
         cd = adjoint(c)
         cdc = qmul(cd, c)
         sandwich = qmul(qmul(cd, O), c)

@@ -104,16 +104,19 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
 class _Recorder:
     """Collects output rows, either at solver steps or at requested times.
 
-    Rows at requested times go straight into one preallocated array; the
-    number of solver steps is not known in advance, so those rows are
-    collected in a list.
+    A row is ``observe(state)``, the state itself by default.  Rows at
+    requested times go straight into one preallocated array; the number of
+    solver steps is not known in advance, so those rows are collected in a
+    list.
     """
 
-    def __init__(self, saveat, t0, t1, y0):
+    def __init__(self, saveat, t0, t1, y0, observe=None):
+        self.observe = observe or (lambda y: y)
+        first = np.array(self.observe(y0))
         if saveat is None:
             self.saveat = None
             self.times = [t0]
-            self.rows = [y0.copy()]
+            self.rows = [first]
             return
         self.saveat = np.asarray(saveat, dtype=float)
         if len(self.saveat) == 0:
@@ -125,25 +128,25 @@ class _Recorder:
             raise AlgebraError(
                 f"saveat time {self.saveat[outside.argmax()]:.6g} lies outside "
                 f"the integration span [{t0:.6g}, {t1:.6g}]")
-        self.rows = np.empty((len(self.saveat),) + y0.shape, dtype=y0.dtype)
+        self.rows = np.empty((len(self.saveat),) + first.shape, dtype=first.dtype)
         self.cursor = 0
         while (self.cursor < len(self.saveat)
                and self.saveat[self.cursor] <= t0):
-            self.rows[self.cursor] = y0
+            self.rows[self.cursor] = first
             self.cursor += 1
 
     def on_step(self, t_prev, y_prev, f_prev, t_new, y_new, f_new):
         if self.saveat is None:
             self.times.append(t_new)
-            self.rows.append(y_new.copy())
+            self.rows.append(np.array(self.observe(y_new)))
             return
         while self.cursor < len(self.saveat) and self.saveat[self.cursor] <= t_new + 1e-12 * max(1.0, abs(t_new)):
             t = float(self.saveat[self.cursor])
             if t >= t_new:
-                self.rows[self.cursor] = y_new
+                y = y_new
             else:
-                self.rows[self.cursor] = _hermite(t, t_prev, y_prev, f_prev,
-                                                  t_new, y_new, f_new)
+                y = _hermite(t, t_prev, y_prev, f_prev, t_new, y_new, f_new)
+            self.rows[self.cursor] = self.observe(y)
             self.cursor += 1
 
     def finish(self, layout) -> Trajectory:
@@ -154,14 +157,16 @@ class _Recorder:
 
 
 def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
-              saveat=None, layout=None) -> Trajectory:
+              saveat=None, layout=None, observe=None) -> Trajectory:
     """Integrate dy/dt = f(t, y) over tspan.
 
     ``f`` is any callable (a bound derivative program or a plain function).
     The trajectory is sampled at accepted solver steps, or at ``saveat``
     times via Hermite interpolation; a ``saveat`` time outside ``tspan`` is
-    an error.  Non-finite states and step-budget exhaustion raise with the
-    last good time attached.
+    an error.  With ``observe``, each sample stores ``observe(state)``
+    instead of the state, as it is produced, so the states themselves are
+    never kept.  Non-finite states and step-budget exhaustion raise with
+    the last good time attached.
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
@@ -172,7 +177,7 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     if not t0 < t1:
         raise AlgebraError("tspan must satisfy t0 < t1")
     y = np.array(u0, dtype=np.complex128).copy()
-    recorder = _Recorder(saveat, t0, t1, y)
+    recorder = _Recorder(saveat, t0, t1, y, observe)
     f0 = np.asarray(f(t0, y), dtype=np.complex128)
     edge = 1e-14 * max(1.0, abs(t1))
 

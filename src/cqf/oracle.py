@@ -259,9 +259,9 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     Am = to_matrix(A, trunc, params)
     taus = np.linspace(0.0, tau_max, tau_points)
     cfg = cfg or StepperConfig.rk45(rtol=1e-8, atol=1e-10)
-    traj = integrate(rhs, (Bm @ rho_ss).reshape(-1), (0.0, tau_max), cfg,
-                     saveat=taus)
-    corr = np.array([expect(Am, row.reshape(dim, dim)) for row in traj.states])
+    corr = integrate(rhs, (Bm @ rho_ss).reshape(-1), (0.0, tau_max), cfg,
+                     saveat=taus,
+                     observe=lambda row: expect(Am, row.reshape(dim, dim))).states
     spectrum = fourier_spectrum(taus, corr, omegas)
     return np.asarray(omegas, dtype=float), spectrum, corr, taus
 

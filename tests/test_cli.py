@@ -11,6 +11,7 @@ from cqf import (StepperConfig, Trajectory, average_symbol, complete,
 from cqf.cli import (deserialize, load, parse_model, pretty_print, save,
                      serialize)
 from cqf.cli.dsl import ObservableDef
+from cqf.cli import main as main_mod
 from cqf.cli.main import main
 from cqf.cli.observables import mandel_q, occupation_to_kelvin, temperature
 from cqf.errors import ArchiveError, DslError, EvaluationError
@@ -378,12 +379,22 @@ def test_cli_reports_dsl_errors(tmp_path, capsys):
     ("spectrum", ["--omega", "1:2"]),
     ("spectrum", ["--omega", "1:2:0"]),
     ("solve", ["--oracle", "--cutoff", "cavity=x"]),
+    ("solve", ["--oracle", "--cutoff", "cavty=3"]),
+    ("spectrum", ["--oracle", "--cutoff", "atom=3"]),
 ])
-def test_malformed_flag_values_are_reported(laser_file, capsys, command, flags):
+def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
+                                            command, flags):
+    """Every flag is checked before any equation is derived."""
+    def derive(*args):
+        raise AssertionError("derivation ran before the flags were checked")
+
+    monkeypatch.setattr(main_mod, "meanfield_derive", derive)
     assert main([command, laser_file, *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flags[-2]} expects ")
     assert repr(flags[-1]) in err
+    if "=3" in flags[-1]:
+        assert f"no Fock space {flags[-1].split('=')[0]!r}" in err
 
 
 def test_cli_requires_parameter_values(laser_file, tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Equation-of-motion derivation and averaging against hand-checked forms."""
 
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import pytest
 
-from cqf import (FILTER_PHASE, I_UNIT, average, average_symbol, identity,
-                 meanfield_derive, parameters, qle_rhs, qmul, zero)
-from cqf.algebra import ScalarExpr
+from cqf import (FILTER_PHASE, I_UNIT, adjoint, average, average_symbol,
+                 create, destroy, fock, identity, meanfield_derive, nlevel,
+                 parameters, product, qle_rhs, qmul, transition, zero)
+from cqf.algebra import ScalarExpr, append_frozen
 from cqf.errors import AlgebraError, SpaceMismatchError
 from cqf.meanfield import MeanfieldEquation, ModelDefinition
 
@@ -157,3 +161,92 @@ def test_mismatched_jump_rate_lengths(laser):
     with pytest.raises(AlgebraError):
         ModelDefinition.create(laser.space, laser.model.hamiltonian,
                                jumps=(laser.a,), rates=())
+
+
+def _full_qle_rhs(O, model):
+    """i[H, O] + sum rate D[c]O with the whole Hamiltonian and every jump."""
+    H = model.hamiltonian
+    rhs = (qmul(H, O) + qmul(O, H).scale(-1)).scale(I_UNIT)
+    for c, rate in zip(model.jumps, model.rates):
+        cd = adjoint(c)
+        cdc = qmul(cd, c)
+        sandwich = qmul(qmul(cd, O), c)
+        anti = (qmul(cdc, O) + qmul(O, cdc)).scale(Fraction(1, 2))
+        rhs = rhs + (sandwich + anti.scale(-1)).scale(rate)
+    return rhs
+
+
+def _canonical_monomials(model, max_len=3):
+    """Every canonical operator product of 1..max_len factors of the model.
+
+    Factors are a' and a of each mode and every transition of each
+    discrete system except the ground projector, which is not canonical;
+    names are taken from the model's own operators.
+    """
+    space = model.space
+    names = {op.subspace: op.name
+             for expr in (model.hamiltonian, *model.jumps)
+             for ops, _ in expr.terms for op in ops}
+    factors = []
+    for k, f in enumerate(space.factors):
+        if f.kind == "fock":
+            factors += [("mode", k, create(space, names[k], k)),
+                        ("mode", k, destroy(space, names[k], k))]
+            continue
+        for i in f.levels:
+            for j in f.levels:
+                if i == j == f.levels[f.ground_index]:
+                    continue
+                factors.append(("level", k, transition(space, names[k], i, j, k)))
+    out = []
+    for n in range(1, max_len + 1):
+        for word in combinations_with_replacement(factors, n):
+            levels = [k for kind, k, _ in word if kind == "level"]
+            if len(levels) != len(set(levels)):
+                continue
+            O = word[0][2]
+            for _, _, x in word[1:]:
+                O = qmul(O, x)
+            O.monomial_ops()    # a single canonical product, coefficient one
+            out.append(O)
+    return out
+
+
+def _hand_built_model():
+    """A constant in H, a collective jump, and a jump on a mode H never touches."""
+    h = product(fock("cavity"), nlevel("atom1", 2), nlevel("atom2", 2),
+                fock("bath"))
+    a = destroy(h, "a", "cavity")
+    b = destroy(h, "b", "bath")
+
+    def s(i, j, k):
+        return transition(h, f"σ{k}", str(i), str(j), f"atom{k}")
+
+    w0, delta, g, kappa, gamma, eta = parameters("ω0 Δ g κ γ η")
+    H = identity(h).scale(w0) + delta * (a.dag() * a) \
+        + g * (a.dag() * s(1, 2, 1) + a * s(2, 1, 1))
+    return ModelDefinition.create(h, H, jumps=(a, s(1, 2, 1) + s(1, 2, 2), b),
+                                  rates=(kappa, gamma, eta))
+
+
+@pytest.mark.parametrize("name", ["laser", "three_level", "optomech",
+                                  "tavis3", "hand-built"])
+def test_local_equation_of_motion_equals_the_full_formula(name, request):
+    from conftest import make_tavis
+
+    if name == "tavis3":
+        model = make_tavis(3).model
+    elif name == "hand-built":
+        model = _hand_built_model()
+    else:
+        model = request.getfixturevalue(name).model
+    monomials = _canonical_monomials(model)
+    assert len(monomials) > 10
+    for O in monomials:
+        assert qle_rhs(O, model) == _full_qle_rhs(O, model), repr(O)
+
+
+def test_frozen_operator_is_rejected(laser):
+    frozen = append_frozen(laser.a, laser.ad.monomial_ops())
+    with pytest.raises(AlgebraError, match="right of a frozen factor"):
+        qle_rhs(frozen, laser.model)

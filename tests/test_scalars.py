@@ -1,6 +1,7 @@
 """Exact scalar expression layer: normalization, arithmetic, evaluation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,60 @@ def test_complex_rational_arithmetic():
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (-a) + a == ComplexRational(0, 0)
     assert a.to_complex() == complex(0.5, 1 / 3)
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+def _pair(c: ComplexRational) -> tuple:
+    return (c.re, c.im)
+
+
+def _canonical(c: ComplexRational) -> bool:
+    return c.d > 0 and gcd(c.x, c.y, c.d) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(fractions, fractions, fractions, fractions, fractions)
+def test_complex_rational_matches_fraction_pairs(a, b, c, e, q):
+    x, y = ComplexRational(a, b), ComplexRational(c, e)
+    assert _pair(x) == (a, b)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    results = {
+        "+": (x + y, (a + c, b + e)),
+        "-": (x - y, (a - c, b - e)),
+        "*": (x * y, (a * c - b * e, a * e + b * c)),
+        "neg": (-x, (-a, -b)),
+        "conjugate": (x.conjugate(), (a, -b)),
+        "scale": (x.scale(q), (a * q, b * q)),
+        "scale int": (x.scale(q.numerator), (a * q.numerator, b * q.numerator)),
+    }
+    for op, (got, want) in results.items():
+        assert _pair(got) == want, op
+        assert _canonical(got), op
+        assert got == ComplexRational(*want) and hash(got) == hash(ComplexRational(*want)), op
+    assert x.to_complex() == complex(a) + 1j * complex(b)
+    assert x.is_zero == (a == 0 and b == 0) == (not x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions, fractions, st.integers(1, 40))
+def test_equal_complex_rationals_compare_and_hash_equal(a, b, k):
+    x = ComplexRational(a, b)
+    built = [ComplexRational(a) + ComplexRational(0, b),
+             ComplexRational(a * k, b * k).scale(Fraction(1, k)),
+             x * CR_ONE,
+             (x * ComplexRational(k, k)) * ComplexRational(Fraction(1, 2 * k), Fraction(-1, 2 * k)),
+             -(-x),
+             x.conjugate().conjugate()]
+    for other in built:
+        assert other == x and hash(other) == hash(x)
+        assert (other.x, other.y, other.d) == (x.x, x.y, x.d)
+    zero = x - x
+    assert (zero.x, zero.y, zero.d) == (0, 0, 1)
+    assert zero == ComplexRational() == ComplexRational(Fraction(0, 7), 0)
+    assert hash(zero) == hash(ComplexRational())
+    assert zero.is_zero and not zero
 
 
 def test_product_of_imaginary_parameters_is_real():
