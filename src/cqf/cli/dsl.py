@@ -522,6 +522,12 @@ def parse_model(text: str) -> ParsedModel:
             name = _ident(p)
             options.cutoffs[name] = int(_number(_number_tok(p)))
             _expect_line_end(p)
+            focks = [f.name for f in scope.spaces if f.kind == FOCK]
+            if name not in focks:
+                raise DslError(
+                    f"cutoff expects SPACE N with SPACE one of the model's Fock "
+                    f"spaces ({', '.join(focks)}), got '{name} {options.cutoffs[name]}'"
+                    f": no Fock space {name!r}", head.line, head.column)
 
         elif directive == "oracle_state":
             name = _ident(p)
@@ -538,8 +544,6 @@ def parse_model(text: str) -> ParsedModel:
     if hamiltonian is None:
         raise DslError("model has no hamiltonian", len(text.splitlines()) + 1, 1)
     space = scope.freeze_space(ham_token)
-    for name in options.cutoffs:
-        space.index(name)   # raises on unknown space names via AlgebraError
     model = ModelDefinition.create(
         space, hamiltonian, jumps, rates,
         parameters=tuple(scope.params[k] for k in sorted(scope.params)),

@@ -163,22 +163,21 @@ def _closed_equations(parsed: ParsedModel, args, quiet=False):
 
 
 def _stepper(parsed: ParsedModel, args, tspan) -> StepperConfig:
-    opts = parsed.options
-    method = getattr(args, "method", None) or opts.method
-    dt = getattr(args, "dt", None) if getattr(args, "dt", None) is not None else opts.dt
-    rtol = getattr(args, "rtol", None) if getattr(args, "rtol", None) is not None else opts.rtol
-    atol = getattr(args, "atol", None) if getattr(args, "atol", None) is not None else opts.atol
-    if method is None:
-        method = "rk4" if dt is not None else None
-    if method == "rk4":
-        if dt is None:
-            dt = (tspan[1] - tspan[0]) / 5000.0
-            print(f"note: fixed-step dt defaulted to {dt:.6g}")
-        return StepperConfig.rk4(dt)
-    if method == "rk45" or method is None:
-        return StepperConfig.rk45(rtol=rtol or 1e-8, atol=atol or 1e-10,
-                                  dt=dt)
-    raise CqfError(f"unknown method {method!r}")
+    """Stepper from the flags over the model file; runs before any derivation."""
+    values = {}
+    for name in ("dt", "rtol", "atol"):
+        value = getattr(args, name)
+        if value is not None and not value > 0:
+            raise CqfError(f"--{name} expects a positive number, got '{value:g}'")
+        value = value if value is not None else getattr(parsed.options, name)
+        if value is not None:
+            values[name] = value
+    method = (args.method or parsed.options.method
+              or ("rk4" if "dt" in values else "rk45"))
+    if method == "rk4" and "dt" not in values:
+        values["dt"] = (tspan[1] - tspan[0]) / 5000.0
+        print(f"note: fixed-step dt defaulted to {values['dt']:.6g}")
+    return StepperConfig(method, **values)
 
 
 def _oracle_setup(parsed: ParsedModel, args):
@@ -259,13 +258,13 @@ def cmd_solve(args) -> int:
     parsed = _parse_model_file(args.model)
     params = _resolve_params(parsed, args)
     oracle = _oracle_setup(parsed, args)
-    closed = _closed_equations(parsed, args)
-    if missing_averages(closed):
-        raise CqfError("equation set is not closed")
     tspan = parsed.options.tspan
     if tspan is None:
         raise CqfError("model file needs a 'tspan' line")
     cfg = _stepper(parsed, args, tspan)
+    closed = _closed_equations(parsed, args)
+    if missing_averages(closed):
+        raise CqfError("equation set is not closed")
     prog = lower(closed)
     bound = prog.bind(params)
     u0 = initial_state(prog.layout, parsed.options.initial)
@@ -311,19 +310,20 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
     if parsed.options.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
     a_expr, b_expr = parsed.options.correlation
-    closed = _closed_equations(parsed, args)
-    prog = lower(closed)
-    bound = prog.bind(params)
-    u0 = initial_state(prog.layout, parsed.options.initial)
     steady = not args.no_steady
-    if steady:
-        state = steady_state(bound, u0)
-    else:
+    if not steady:
         tspan = parsed.options.tspan
         if tspan is None:
             raise CqfError("co-evolved correlations need a 'tspan' line to "
                            "reach the reference time t")
         cfg = _stepper(parsed, args, tspan)
+    closed = _closed_equations(parsed, args)
+    prog = lower(closed)
+    bound = prog.bind(params)
+    u0 = initial_state(prog.layout, parsed.options.initial)
+    if steady:
+        state = steady_state(bound, u0)
+    else:
         state = integrate(bound, u0, tspan, cfg).final_state
     cs = build_correlation_system(a_expr, b_expr, closed, steady=steady)
     state_map = state_mapping(prog.layout, state)

@@ -1,34 +1,60 @@
 """Explicit Runge-Kutta time integration over complex state vectors.
 
-Two steppers: the classic fixed-step 4th-order scheme, and the embedded
-Fehlberg 4(5) pair with standard error-per-step control (the 4th-order
-solution is propagated, the 5th-order one provides the error estimate).
-Requested output times are filled in by cubic Hermite interpolation between
-accepted steps as integration proceeds, so the controller's step choice is
-never distorted and long runs do not accumulate per-step storage.
+One stepping loop reads a Butcher tableau: the classic fixed-step 4th-order
+scheme, or the Dormand-Prince 5(4) pair with error-per-step control (the
+5th-order solution is propagated, the embedded 4th-order one gives the error
+estimate).  Requested output times are filled in by cubic Hermite
+interpolation between accepted steps as integration proceeds, so the
+controller's step choice is never distorted and long runs do not accumulate
+per-step storage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ..errors import AlgebraError, IntegrationError, NonStationaryError
 
-# Fehlberg 4(5) tableau.
-_FB_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_FB_A = (
-    (),
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3554.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_FB_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
-_FB_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0,
-          2.0 / 55.0)
+
+class _Tableau:
+    """Explicit Butcher tableau, one ``c_i | a_i0 a_i1 ...`` row per stage.
+
+    The last row holds the weights b at node 1, so the last stage is
+    f(t + h, y_new), the next step's first.  ``A`` holds the rows, then an
+    embedded pair's error weights ``e`` over every stage (zeros without).
+    """
+
+    def __init__(self, rows: str, e: str = ""):
+        rows = [row.split("|") for row in rows.strip().splitlines()]
+        self.c = [Fraction(c) for c, _ in rows]
+        self.a = [[Fraction(x) for x in a.split()] for _, a in rows]
+        self.e = [Fraction(x) for x in e.split()]
+        self.A = np.array([row + [0] * (len(rows) - len(row))
+                           for row in self.a + [self.e]], dtype=np.complex128)
+
+
+_TABLEAUX = {
+    "rk4": _Tableau("""
+        0   |
+        1/2 | 1/2
+        1/2 | 0   1/2
+        1   | 0   0   1
+        1   | 1/6 1/3 1/3 1/6
+        """),
+    # Dormand & Prince, J. Comput. Appl. Math. 6 (1980); e = b5 - b4.
+    "rk45": _Tableau("""
+        0    |
+        1/5  | 1/5
+        3/10 | 3/40       9/40
+        4/5  | 44/45      -56/15      32/9
+        8/9  | 19372/6561 -25360/2187 64448/6561 -212/729
+        1    | 9017/3168  -355/33     46732/5247 49/176  -5103/18656
+        1    | 35/384     0           500/1113   125/192 -2187/6784 11/84
+        """, e="71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40"),
+}
 
 _SAFETY = 0.9
 _MIN_SHRINK = 0.2
@@ -44,11 +70,11 @@ class StepperConfig:
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
+        if self.method not in _TABLEAUX:
             raise AlgebraError(f"unknown method {self.method!r}")
-        if self.method == "rk4" and (self.dt is None or self.dt <= 0):
-            raise AlgebraError("fixed-step integration needs a positive dt")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.dt > 0 if self.dt is not None else self.method == "rk45"):
+            raise AlgebraError("dt must be positive (fixed-step integration needs one)")
+        if not (self.rtol > 0 and self.atol > 0):
             raise AlgebraError("tolerances must be positive")
 
     @staticmethod
@@ -170,79 +196,52 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
-        program = getattr(f, "program", None)
-        if program is not None:
-            layout = program.layout
+        layout = getattr(getattr(f, "program", None), "layout", None)
     t0, t1 = float(tspan[0]), float(tspan[1])
     if not t0 < t1:
         raise AlgebraError("tspan must satisfy t0 < t1")
-    y = np.array(u0, dtype=np.complex128).copy()
+    tab = _TABLEAUX[cfg.method]
+    y = np.array(u0, dtype=np.complex128)
     recorder = _Recorder(saveat, t0, t1, y, observe)
-    f0 = np.asarray(f(t0, y), dtype=np.complex128)
-    edge = 1e-14 * max(1.0, abs(t1))
+    stages = np.empty((len(tab.c), y.size), dtype=np.complex128)
+    stages[0] = f(t0, y)
 
+    # Stage inputs are products of rows of hA, the tableau scaled in place by
+    # the current h, with the earlier stages; the last input is the new state.
+    hA = np.empty_like(tab.A)
+    inputs = [(i, float(tab.c[i]), hA[i, :i], stages[:i]) for i in range(1, len(stages))]
     t = t0
+    h = cfg.dt or (t1 - t0) / 100.0
+    scaled_by = None
     steps = 0
-    if cfg.method == "rk4":
-        dt = cfg.dt
-        while t < t1 - edge:
-            if steps >= cfg.max_steps:
-                raise IntegrationError(
-                    f"step budget exhausted at t = {t:.6g}", last_time=t)
-            h = dt if t + dt <= t1 else t1 - t
-            k1 = f0
-            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = f(t + h, y + h * k3)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t_new = t + h
-            if not np.isfinite(y_new).all():
-                raise IntegrationError(
-                    f"non-finite state at t = {t_new:.6g}", last_time=t)
-            f_new = np.asarray(f(t_new, y_new), dtype=np.complex128)
-            recorder.on_step(t, y, f0, t_new, y_new, f_new)
-            t, y, f0 = t_new, y_new, f_new
-            steps += 1
-    else:
-        h = cfg.dt if cfg.dt else (t1 - t0) / 100.0
-        inv_order = 0.2
-        while t < t1 - edge:
-            if steps >= cfg.max_steps:
-                raise IntegrationError(
-                    f"step budget exhausted at t = {t:.6g}", last_time=t)
-            if t + h > t1:
-                h = t1 - t
-            k1 = f0
-            k2 = f(t + _FB_C[1] * h, y + (h * 0.25) * k1)
-            k3 = f(t + _FB_C[2] * h,
-                   y + h * (_FB_A[2][0] * k1 + _FB_A[2][1] * k2))
-            k4 = f(t + _FB_C[3] * h,
-                   y + h * (_FB_A[3][0] * k1 + _FB_A[3][1] * k2
-                            + _FB_A[3][2] * k3))
-            k5 = f(t + _FB_C[4] * h,
-                   y + h * (_FB_A[4][0] * k1 + _FB_A[4][1] * k2
-                            + _FB_A[4][2] * k3 + _FB_A[4][3] * k4))
-            k6 = f(t + _FB_C[5] * h,
-                   y + h * (_FB_A[5][0] * k1 + _FB_A[5][1] * k2
-                            + _FB_A[5][2] * k3 + _FB_A[5][3] * k4
-                            + _FB_A[5][4] * k5))
-            y4 = y + h * (_FB_B4[0] * k1 + _FB_B4[2] * k3 + _FB_B4[3] * k4
-                          + _FB_B4[4] * k5)
-            y5 = y + h * (_FB_B5[0] * k1 + _FB_B5[2] * k3 + _FB_B5[3] * k4
-                          + _FB_B5[4] * k5 + _FB_B5[5] * k6)
-            err = np.abs(y5 - y4)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y4))
-            ratio = float(np.max(err / scale)) if y.size else 0.0
-            steps += 1
-            if ratio <= 1.0:
-                t_new = t + h
-                if not np.isfinite(y4).all():
-                    raise IntegrationError(
-                        f"non-finite state at t = {t_new:.6g}", last_time=t)
-                f_new = np.asarray(f(t_new, y4), dtype=np.complex128)
-                recorder.on_step(t, y, f0, t_new, y4, f_new)
-                t, y, f0 = t_new, y4, f_new
-            factor = (_SAFETY * ratio ** -inv_order) if ratio > 0 else _MAX_GROW
+    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+        if steps >= cfg.max_steps:
+            raise IntegrationError(
+                f"step budget exhausted at t = {t:.6g}", last_time=t)
+        steps += 1
+        if t + h > t1:
+            h = t1 - t
+        if h != scaled_by:
+            np.multiply(tab.A, h, out=hA)
+            scaled_by = h
+        for i, node, row, earlier in inputs:
+            y_new = y + row @ earlier
+            stages[i] = f(t + node * h, y_new)
+        ratio = 0.0
+        if tab.e and y.size:
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            ratio = float(np.max(np.abs(hA[-1] @ stages) / scale))
+        # A non-finite last stage makes the error ratio non-finite, or the
+        # next state for a fixed step.
+        if not (np.isfinite(y_new).all() and ratio < np.inf):
+            raise IntegrationError(
+                f"non-finite state at t = {t + h:.6g}", last_time=t)
+        if ratio <= 1.0:
+            recorder.on_step(t, y, stages[0], t + h, y_new, stages[-1])
+            t, y = t + h, y_new
+            stages[0] = stages[-1]
+        if tab.e:
+            factor = _SAFETY * ratio ** -0.2 if ratio > 0 else _MAX_GROW
             h *= min(_MAX_GROW, max(_MIN_SHRINK, factor))
 
     return recorder.finish(layout)
@@ -256,7 +255,6 @@ def steady_state(f, u0, cfg: StepperConfig | None = None, tol: float = 1e-8,
     geometrically; hitting the time cap without convergence raises with the
     final residual attached.
     """
-    cfg = cfg or StepperConfig.rk45()
     y = np.array(u0, dtype=np.complex128)
     t = 0.0
     w = float(window)

@@ -213,7 +213,6 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
     """
     params = params or {}
     rhs, dim = _lindblad_rhs(model, trunc, params)
-    cfg = cfg or StepperConfig.rk45(rtol=1e-8, atol=1e-10)
     traj = integrate(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1),
                      tspan, cfg, saveat=saveat)
     rhos = [row.reshape(dim, dim) for row in traj.states]
@@ -236,7 +235,6 @@ def me_steady(model: ModelDefinition, trunc: TruncationSpec,
     rhs, dim = _lindblad_rhs(model, trunc, params)
     if rho0 is None:
         rho0 = ground_state(model.space, trunc)
-    cfg = cfg or StepperConfig.rk45(rtol=1e-8, atol=1e-10)
     flat = steady_state(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1),
                         cfg, tol=tol, t_max=t_max)
     return flat.reshape(dim, dim)
@@ -258,7 +256,6 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     Bm = to_matrix(B, trunc, params)
     Am = to_matrix(A, trunc, params)
     taus = np.linspace(0.0, tau_max, tau_points)
-    cfg = cfg or StepperConfig.rk45(rtol=1e-8, atol=1e-10)
     corr = integrate(rhs, (Bm @ rho_ss).reshape(-1), (0.0, tau_max), cfg,
                      saveat=taus,
                      observe=lambda row: expect(Am, row.reshape(dim, dim))).states

@@ -103,6 +103,32 @@ def test_undeclared_identifier_reports_location():
     assert "omega" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["atom", "cavty"])
+def test_cutoff_must_name_a_fock_space(name):
+    with open(LASER_FILE, encoding="utf-8") as fh:
+        text = fh.read()
+    line = len(text.splitlines()) + 1
+    with pytest.raises(DslError) as err:
+        parse_model(text + f"cutoff {name} 3\n")
+    assert err.value.line == line
+    assert str(err.value).endswith(
+        "cutoff expects SPACE N with SPACE one of the model's Fock spaces "
+        f"(cavity), got '{name} 3': no Fock space {name!r}")
+
+
+def test_non_positive_model_file_tolerance_is_an_error(laser_file, capsys,
+                                                       monkeypatch):
+    with open(laser_file, "a", encoding="utf-8") as fh:
+        fh.write("solver rk45\nrtol 0\n")
+
+    def derive(*args):
+        raise AssertionError("derivation ran before the tolerance was checked")
+
+    monkeypatch.setattr(main_mod, "meanfield_derive", derive)
+    assert main(["solve", laser_file]) == 1
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
 def test_operator_on_wrong_space_kind():
     text = "space c fock\nop s = transition(c, g, e)\nhamiltonian s\n"
     with pytest.raises(DslError):
@@ -381,6 +407,8 @@ def test_cli_reports_dsl_errors(tmp_path, capsys):
     ("solve", ["--oracle", "--cutoff", "cavity=x"]),
     ("solve", ["--oracle", "--cutoff", "cavty=3"]),
     ("spectrum", ["--oracle", "--cutoff", "atom=3"]),
+    ("solve", ["--rtol", "0"]),
+    ("correlate", ["--no-steady", "--method", "rk45", "--atol", "-1"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):

@@ -3,6 +3,7 @@
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cqf import (FILTER_PHASE, StepperConfig, average_symbol, complete,
                  meanfield_derive, qmul, state_mapping, steady_state)
 from cqf.cli import parse_model
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
+from cqf.numerics.steppers import _TABLEAUX
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -170,6 +172,25 @@ def test_rk4_is_fourth_order():
     assert 12.0 < ratio < 20.0
 
 
+@pytest.mark.parametrize("method, order", [("rk4", 4), ("rk45", 5)])
+def test_tableau_order_conditions(method, order):
+    """Rows sum to their nodes, the weights b integrate c^(k-1) exactly up to
+    the method's order, and an embedded pair's weights b - e one order less."""
+    tab = _TABLEAUX[method]
+    for node, row in zip(tab.c, tab.a):
+        assert sum(row) == node
+
+    def integrates(weights, k):
+        return sum(w * c ** (k - 1) for w, c in zip(weights, tab.c)) == Fraction(1, k)
+
+    b = tab.a[-1]
+    assert all(integrates(b, k) for k in range(1, order + 1))
+    if tab.e:
+        embedded = [bi - ei for bi, ei in zip(b + [0], tab.e)]
+        assert all(integrates(embedded, k) for k in range(1, order))
+        assert not integrates(embedded, order)
+
+
 def test_saveat_sampling_hits_requested_times():
     times = np.linspace(0.0, 2.0, 9)
     traj = integrate(lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 2.0),
@@ -197,6 +218,15 @@ def test_nan_guard():
     with pytest.raises(IntegrationError):
         integrate(blower, np.array([1.0 + 0j]), (0.0, 1.0),
                   StepperConfig.rk4(0.01))
+
+    # A NaN error estimate must end the run, not grow the step and retry
+    # until the budget is spent.
+    def poisoned(t, y):
+        return -y if t < 0.5 else y * np.nan
+
+    with pytest.raises(IntegrationError, match="non-finite"):
+        integrate(poisoned, np.array([1.0 + 0j]), (0.0, 1.0),
+                  StepperConfig.rk45(max_steps=10_000))
 
 
 def test_step_budget():
