@@ -11,7 +11,9 @@ Regenerate the files only for an intended change of that output:
 
 Larger Tavis–Cummings sets are pinned by the sha256 of their archive
 instead of a committed file: N=20 here, and N=50 in acceptance criterion 2,
-which completes that set anyway.
+which completes that set anyway.  So are the laser's high-order sets, whose
+over-order products are long and full of repeated factors: its archives at
+orders 6 and 8, and the rendered order-8 <a'(t+tau) a(t)> delay system.
 """
 
 import hashlib
@@ -20,7 +22,9 @@ import sys
 
 import pytest
 
-from cqf import FILTER_PHASE, complete, filter_by_name, meanfield_derive
+from cqf import (FILTER_PHASE, build_correlation_system, complete,
+                 filter_by_name, meanfield_derive)
+from cqf.algebra.render import render_average
 from cqf.cli import parse_model, serialize
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -28,9 +32,13 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 MODELS = ("laser", "three_level", "optomech")
 
 
-def _model_file_archive(name: str) -> str:
+def _parse_model_file(name: str):
     with open(os.path.join(ROOT, "models", f"{name}.cqm"), encoding="utf-8") as fh:
-        parsed = parse_model(fh.read())
+        return parse_model(fh.read())
+
+
+def _model_file_archive(name: str) -> str:
+    parsed = _parse_model_file(name)
     opts = parsed.options
     filt = None if opts.filter_name == "none" else filter_by_name(opts.filter_name)
     eqs = meanfield_derive(opts.track, parsed.model, opts.order, filt)
@@ -46,6 +54,22 @@ def _tavis_archive(n_atoms: int) -> str:
     return serialize(complete(eqs))
 
 
+def _laser_closed(order: int):
+    parsed = _parse_model_file("laser")
+    return complete(meanfield_derive(parsed.options.track, parsed.model, order,
+                                     FILTER_PHASE))
+
+
+def _laser_correlation_text(order: int) -> str:
+    """The laser's <a'(t+tau) a(t)> delay system: equations, then constants."""
+    parsed = _parse_model_file("laser")
+    a_expr, b_expr = parsed.options.correlation
+    cs = build_correlation_system(a_expr, b_expr, _laser_closed(order))
+    lines = [eq.render() for eq in cs.equations]
+    lines += [render_average(sym) for sym in cs.constants]
+    return "\n".join(lines)
+
+
 CASES = {**{m: (lambda m=m: _model_file_archive(m)) for m in MODELS},
          "tavis5": lambda: _tavis_archive(5)}
 
@@ -55,6 +79,16 @@ TAVIS_DIGESTS = {
     20: "b6f0869d91b39e6fb7d44bf65d417de1ee1af50ade52150f22c4a54361f156d5",
     50: "2b3892693c03e04b896d525dc60164af08f01b444895debecc7798c826026ed6",
 }
+
+
+# sha256 of the laser (models/laser.cqm, phase filter) completed at each
+# order, and of its rendered order-8 correlation system.
+LASER_DIGESTS = {
+    6: "aa795788247e60f8c6c6f9fa87da66bca13e6e6f1bb4caa8b6f5e747ddd7d94e",
+    8: "d36b728e4229793f5031a6092ad540edc1c1c607f37e68782ec3078b20d51a27",
+}
+LASER_CORRELATION_DIGEST = (
+    "ea26ac56e4f059c7b0d410e8a7ee27a1cb2a18eca0f77a528a25948535e9e061")
 
 
 def archive_digest(archive: str) -> str:
@@ -70,6 +104,17 @@ def test_archive_matches_golden(name):
 
 def test_tavis20_archive_matches_digest():
     assert archive_digest(_tavis_archive(20)) == TAVIS_DIGESTS[20]
+
+
+@pytest.mark.parametrize("order", sorted(LASER_DIGESTS))
+def test_laser_archive_matches_digest(order):
+    assert archive_digest(serialize(_laser_closed(order))) == \
+        LASER_DIGESTS[order]
+
+
+def test_laser_correlation_system_matches_digest():
+    assert archive_digest(_laser_correlation_text(8)) == \
+        LASER_CORRELATION_DIGEST
 
 
 if __name__ == "__main__":
