@@ -7,7 +7,8 @@ two-time correlation functions and power spectra.  A dense master-equation
 backend serves as a brute-force cross-check at desk scale.
 
 All symbolic values are immutable after normalization and safe to share
-across threads; numeric integrations own their private state buffers.
+across threads, and derivation keeps no global state; numeric integrations
+own their private state buffers.
 """
 
 from .algebra import (AverageSymbol, ComplexRational, HilbertSpace, I_UNIT,

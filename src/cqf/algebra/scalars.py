@@ -234,6 +234,11 @@ class ScalarExpr:
 
     def __add__(self, other) -> "ScalarExpr":
         other = ScalarExpr.number(other)
+        # Every expression is normalized already, so a zero summand is a no-op.
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         d = {(params, avgs): coeff for coeff, params, avgs in self.terms}
         for coeff, params, avgs in other.terms:
             key = (params, avgs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra.averages import AverageSymbol
-from .cumulant import OrderSpec
+from .cumulant import OrderSpec, expansion_memo
 from .errors import AlgebraError, CapacityError
 from .meanfield import EquationSet, derive_equation, meanfield_derive
 
@@ -31,7 +31,8 @@ class FilterFunction:
 
     Must be deterministic and conjugation-symmetric: an average and its
     conjugate are kept or dropped together.  Filters compare by name and
-    predicate object, which is how expansion results are cached.
+    predicate object; an expansion memo keys on the filter, so same-named
+    filters with different predicates never share results.
     """
 
     name: str
@@ -73,6 +74,7 @@ def missing_averages(eqs: EquationSet) -> set[AverageSymbol]:
     return missing
 
 
+@expansion_memo()
 def complete(eqs: EquationSet, order=None, filt="inherit",
              max_equations: int = DEFAULT_EQUATION_CAP,
              progress: Callable[[int], None] | None = None) -> EquationSet:

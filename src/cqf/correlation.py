@@ -30,7 +30,7 @@ from .algebra.averages import AverageSymbol, correlation_symbol
 from .algebra.qexpr import QExpr, append_frozen, mul_sequences
 from .algebra.render import render_average
 from .algebra.scalars import ScalarExpr
-from .cumulant import expand_scalar
+from .cumulant import expand_scalar, expansion_memo
 from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from .meanfield import EquationSet, MeanfieldEquation, average, derive_equation, qle_rhs
 from .numerics.lowering import RHSProgram, lower, state_mapping
@@ -89,6 +89,7 @@ def _corr_equation(sym: AverageSymbol, base: EquationSet) -> MeanfieldEquation:
     return MeanfieldEquation(sym, rhs)
 
 
+@expansion_memo()
 def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
                              steady: bool = True) -> CorrelationSystem:
     """Derive and close the delay equations for <A(t+tau) B(t)>.

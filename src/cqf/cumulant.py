@@ -1,10 +1,20 @@
 """Joint cumulants and the moment expansion that closes average hierarchies.
 
-The joint cumulant of an operator product is a sum over all set partitions
-of its factors; assuming it vanishes above a chosen order expresses each
-high-order average through products of lower-order ones.  Applying that
-substitution recursively until every surviving average is within order is
-what turns the infinite moment hierarchy into a closed system.
+The average of an operator product is the sum, over all set partitions of
+its factors, of the products of the blocks' joint cumulants.  Assuming the
+cumulant vanishes above a chosen order expresses each high-order average
+through products of lower-order ones.  Applying that substitution
+recursively until every surviving average is within order is what turns
+the infinite moment hierarchy into a closed system.
+
+The expansion does not list set partitions (Bell(n) of them for n
+factors).  A block is a subsequence of a canonical product, in which equal
+factors sit in runs, so its average depends only on how many factors it
+takes from each run: its count vector.  The expansion sums over the count
+vectors of the block holding the first factor, each weighted by the number
+of blocks that share it (P. J. Smith, Am. Stat. 49, 1995), and memoizes
+moments and cumulants on count vectors.  Products longer than
+``MAX_PARTITION_SIZE`` factors are refused all the same.
 
 Sign conventions are pinned by the explicit third-order identity
 
@@ -12,11 +22,18 @@ Sign conventions are pinned by the explicit third-order identity
 
 i.e. a partition with b blocks enters the expansion with (b-1)! (-1)^b and
 the cumulant itself with (b-1)! (-1)^(b-1).
+
+Closed averages are memoized for the length of one derivation only:
+``meanfield_derive``, ``complete`` and ``build_correlation_system`` each
+run inside an ``expansion_memo`` block, and a bare call opens its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
@@ -143,25 +160,67 @@ def _symbol_factors(sym: AverageSymbol) -> tuple:
     return sym.ops
 
 
-def _partition_expansion(factors: tuple, block_value) -> ScalarExpr:
-    """Sum over the proper partitions of ``factors``, weighted (b-1)! (-1)^b.
+def _expansion(factors: tuple, block_value) -> ScalarExpr:
+    """The average of ``factors`` with their joint cumulant set to zero.
 
-    Each block's average passes through ``block_value`` before the blocks
-    of a partition are multiplied.
+    Blocks are count vectors over the runs of equal factors.  m(u) is
+    ``block_value`` of a proper block's average, and the cumulants k(u) of
+    proper blocks follow from m(u) = sum over the partitions of u of
+    products of cumulants.  With k(v) = 0 for the whole product v,
+
+        m(v) = sum over u holding the first factor, u != v, of
+               C(v0 - 1, u0 - 1) * prod_i>0 C(vi, ui) * k(u) * m(v - u),
+
+    where the binomials count the blocks with count vector u.  As a
+    polynomial in the block values this is the sum over the proper set
+    partitions weighted (b-1)! (-1)^b, so exact arithmetic returns the
+    same expression.
     """
-    total = ScalarExpr.zero()
-    for p in set_partitions(len(factors)):
-        b = len(p)
-        if b == 1:
-            continue
-        term = ScalarExpr.number(math.factorial(b - 1) * (-1) ** b)
-        for block in p:
-            term = term * block_value(
-                _average_of_product(factors[i] for i in block))
-            if term.is_zero:
-                break
-        total = total + term
-    return total
+    if len(factors) > MAX_PARTITION_SIZE:
+        raise CapacityError(
+            f"partitions of {len(factors)} elements exceed the cap of "
+            f"{MAX_PARTITION_SIZE}"
+        )
+    runs = [(op, len(list(group))) for op, group in itertools.groupby(factors)]
+    distinct = [op for op, _ in runs]
+    moments: dict = {}
+    cumulants: dict = {}
+
+    def moment(u) -> ScalarExpr:
+        hit = moments.get(u)
+        if hit is None:
+            block = [op for op, k in zip(distinct, u) for _ in range(k)]
+            hit = moments[u] = block_value(_average_of_product(block))
+        return hit
+
+    def cumulant(u) -> ScalarExpr:
+        hit = cumulants.get(u)
+        if hit is None:
+            hit = cumulants[u] = moment(u) - split(u)
+        return hit
+
+    def split(v) -> ScalarExpr:
+        """m(v) less k(v): the blocks u holding v's first factor, u != v."""
+        first = next(i for i, k in enumerate(v) if k)
+        ranges = [range(k + 1) for k in v]
+        ranges[first] = range(1, v[first] + 1)
+        total = ScalarExpr.zero()
+        for u in itertools.product(*ranges):
+            if u == v:
+                continue
+            k_u = cumulant(u)
+            if k_u.is_zero:
+                continue
+            rest = moment(tuple(a - b for a, b in zip(v, u)))
+            if rest.is_zero:
+                continue
+            weight = math.comb(v[first] - 1, u[first] - 1) * math.prod(
+                map(math.comb, v[first + 1:], u[first + 1:]))
+            term = k_u * rest
+            total = total + (term if weight == 1 else term * weight)
+        return total
+
+    return split(tuple(k for _, k in runs))
 
 
 def joint_cumulant(factors) -> ScalarExpr:
@@ -186,14 +245,30 @@ def moment_expansion_once(factors) -> ScalarExpr:
     factors = tuple(factors)
     if not factors:
         raise AlgebraError("cannot expand an empty product")
-    return _partition_expansion(factors, lambda block_avg: block_avg)
+    return _expansion(factors, lambda block_avg: block_avg)
 
 
-_EXPANSION_CACHE: dict = {}
+# The memo of the innermost ``expansion_memo`` block: each thread, and each
+# block, sees its own dict, and none outlives the block that made it.
+_MEMO: ContextVar[dict | None] = ContextVar("expansion_memo", default=None)
 
 
-def clear_expansion_cache():
-    _EXPANSION_CACHE.clear()
+@contextmanager
+def expansion_memo():
+    """Share expansion results among the expansions made inside the block.
+
+    Derivations open one around all their equations, so an over-order
+    average that occurs in several equations is expanded once.  A nested
+    block joins the enclosing one; results never depend on the memo.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
@@ -203,11 +278,15 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
     conjugated occurrence expands as the conjugate of its representative's
     expansion.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        with expansion_memo():
+            return expand_average(avg, order, filt)
     spec = OrderSpec.of(order)
     if avg.conjugated:
         return expand_average(avg.family, spec, filt).conj()
     key = (avg, spec, filt)
-    hit = _EXPANSION_CACHE.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if not _keeps(filt, avg):
@@ -215,15 +294,18 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
     elif avg.order <= spec.resolve(avg.touched()):
         result = ScalarExpr.from_average(avg)
     else:
-        result = _partition_expansion(
+        result = _expansion(
             _symbol_factors(avg),
             lambda block_avg: expand_scalar(block_avg, spec, filt))
-    _EXPANSION_CACHE[key] = result
+    memo[key] = result
     return result
 
 
 def expand_scalar(x: ScalarExpr, order, filt=None) -> ScalarExpr:
     """Expand every average occurrence inside a scalar expression."""
+    if _MEMO.get() is None:
+        with expansion_memo():
+            return expand_scalar(x, order, filt)
     spec = OrderSpec.of(order)
     out = ScalarExpr.zero()
     for coeff, params, avgs in x.terms:

@@ -30,7 +30,8 @@ class ConsistencyError(CqfError):
 
 
 class IntegrationError(CqfError):
-    """Time integration failed (NaN/Inf or step budget exhausted)."""
+    """Time integration failed (NaN/Inf, step size underflow or step budget
+    exhausted)."""
 
     def __init__(self, message: str, last_time: float):
         super().__init__(message)

@@ -22,7 +22,7 @@ from .algebra.qexpr import QExpr, adjoint, qmul
 from .algebra.render import latex_average, latex_scalar, render_average, render_scalar
 from .algebra.scalars import I_UNIT, Parameter, ScalarExpr
 from .algebra.spaces import ProductSpace
-from .cumulant import OrderSpec, expand_scalar
+from .cumulant import OrderSpec, expand_scalar, expansion_memo
 from .errors import AlgebraError, SpaceMismatchError
 
 _HALF = Fraction(1, 2)
@@ -191,6 +191,7 @@ def derive_equation(ops: tuple, model: ModelDefinition, order,
     return MeanfieldEquation(average_symbol(tuple(ops)), rhs)
 
 
+@expansion_memo()
 def meanfield_derive(ops, model: ModelDefinition, order,
                      filt=None) -> EquationSet:
     """Derive moment equations for the given operators.

@@ -191,8 +191,8 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     times via Hermite interpolation; a ``saveat`` time outside ``tspan`` is
     an error.  With ``observe``, each sample stores ``observe(state)``
     instead of the state, as it is produced, so the states themselves are
-    never kept.  Non-finite states and step-budget exhaustion raise with
-    the last good time attached.
+    never kept.  Non-finite states, a step too small to advance t, and
+    step-budget exhaustion raise with the last good time attached.
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
@@ -221,6 +221,9 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
         steps += 1
         if t + h > t1:
             h = t1 - t
+        if t + h == t:
+            raise IntegrationError(
+                f"step size underflow at t = {t:.6g}", last_time=t)
         if h != scaled_by:
             np.multiply(tab.A, h, out=hA)
             scaled_by = h

@@ -319,9 +319,6 @@ def test_criterion_8_expansion_against_brute_force(laser):
     import functools
     import random
 
-    from cqf.cumulant import clear_expansion_cache
-
-    clear_expansion_cache()
     rng = random.Random(2024)
     alphabet = [laser.a, laser.ad, laser.sge, laser.seg, laser.see]
     checked = 0

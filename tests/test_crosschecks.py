@@ -156,9 +156,7 @@ def test_expansion_cache_is_safe_across_models(laser):
     """
     from cqf import expand_average
     from cqf.cli import deserialize, serialize
-    from cqf.cumulant import clear_expansion_cache
 
-    clear_expansion_cache()
     other = make_three_level()
     mixed = qmul(qmul(other.ad, other.a), other.s(2, 2))
     expand_average(average_symbol(mixed.monomial_ops()), 2, None)

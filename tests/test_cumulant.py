@@ -1,9 +1,11 @@
 """Cumulant layer: partitions, the joint cumulant, and moment expansion.
 
-The brute-force reference (`brute_expand`) enumerates partitions by direct
-recursion over the block containing the smallest element and applies the
-vanishing-cumulant substitution recursively, with no memoization and no
-sharing with the engine's enumeration order.
+The brute-force reference (`brute_expand`) enumerates set partitions by
+direct recursion over the block containing the smallest element and applies
+the vanishing-cumulant substitution recursively, with the (b-1)! (-1)^b
+weights of the moment-cumulant formula.  It shares nothing with the
+engine's recursion over count vectors; its only memo maps a factor tuple to
+its closure within one top-level call.
 """
 
 import functools
@@ -19,8 +21,9 @@ from cqf import (FILTER_PHASE, FilterFunction, OrderSpec, average,
                  average_symbol, expand_average, expand_scalar, joint_cumulant,
                  moment_expansion_once, qmul, set_partitions)
 from cqf.algebra import ScalarExpr
-from cqf.cumulant import clear_expansion_cache
+from cqf.cumulant import MAX_PARTITION_SIZE
 from cqf.errors import AlgebraError, CapacityError
+from conftest import make_optomech, make_tavis
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -47,23 +50,34 @@ def _avg_of(ops) -> ScalarExpr:
     return ScalarExpr.from_average(average_symbol(tuple(ops)))
 
 
-def brute_expand(ops, order, filt=None) -> ScalarExpr:
-    """Vanishing-cumulant closure, written independently of the engine."""
-    sym = average_symbol(tuple(ops))
-    if filt is not None and not filt.keep(sym.family):
-        return ScalarExpr.zero()
+def brute_expand(ops, order, filt=None, memo=None) -> ScalarExpr:
+    """Vanishing-cumulant closure, written independently of the engine.
+
+    ``memo`` maps factor tuples to their closure within one top-level call.
+    """
+    ops = tuple(ops)
+    memo = {} if memo is None else memo
+    if ops in memo:
+        return memo[ops]
+    sym = average_symbol(ops)
     spec = OrderSpec.of(order)
-    if len(ops) <= spec.resolve({op.subspace for op in ops}):
-        return ScalarExpr.from_average(sym)
-    total = ScalarExpr.zero()
-    for partition in reference_partitions(range(len(ops))):
-        blocks = len(partition)
-        if blocks == 1:
-            continue
-        term = ScalarExpr.number(math.factorial(blocks - 1) * (-1) ** blocks)
-        for block in partition:
-            term = term * brute_expand([ops[i] for i in block], order, filt)
-        total = total + term
+    if filt is not None and not filt.keep(sym.family):
+        total = ScalarExpr.zero()
+    elif len(ops) <= spec.resolve({op.subspace for op in ops}):
+        total = ScalarExpr.from_average(sym)
+    else:
+        total = ScalarExpr.zero()
+        for partition in reference_partitions(range(len(ops))):
+            blocks = len(partition)
+            if blocks == 1:
+                continue
+            term = ScalarExpr.number(
+                math.factorial(blocks - 1) * (-1) ** blocks)
+            for block in partition:
+                term = term * brute_expand([ops[i] for i in block], order,
+                                           filt, memo)
+            total = total + term
+    memo[ops] = total
     return total
 
 
@@ -103,6 +117,19 @@ def test_partition_cap():
         set_partitions(13)
     with pytest.raises(AlgebraError):
         set_partitions(0)
+
+
+def test_expansion_keeps_the_partition_cap(laser):
+    """Expansion counts blocks instead of listing partitions, but a product
+    longer than the cap is still refused."""
+    ops = _ops(*[laser.ad] * 7, *[laser.a] * 6)
+    assert len(ops) == MAX_PARTITION_SIZE + 1
+    with pytest.raises(CapacityError, match="exceed the cap of 12"):
+        expand_average(average_symbol(ops), 1, None)
+    with pytest.raises(CapacityError):
+        moment_expansion_once(ops)
+    # at the cap itself the expansion runs
+    assert not moment_expansion_once(ops[1:]).is_zero
 
 
 # -- joint cumulant -----------------------------------------------------------
@@ -248,7 +275,6 @@ def test_fourth_order_average_at_order_two_matches_brute_force(laser):
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=6),
        st.integers(1, 3), st.booleans())
 def test_expansion_matches_brute_force(laser, indices, order, use_filter):
-    clear_expansion_cache()
     alphabet = [laser.a, laser.ad, laser.sge, laser.seg, laser.see]
     expr = functools.reduce(qmul, (alphabet[i] for i in indices))
     filt = FILTER_PHASE if use_filter else None
@@ -257,6 +283,49 @@ def test_expansion_matches_brute_force(laser, indices, order, use_filter):
             continue
         assert expand_average(average_symbol(ops), order, filt) == \
             brute_expand(ops, order, filt)
+
+
+def _two_modes():
+    om = make_optomech()
+    return [om.a, om.a.dag(), om.b, om.b.dag()], 2
+
+
+def _cavity_and_two_atoms():
+    tc = make_tavis(2)
+    atoms = [tc.s(i, j, k) for k in range(2) for i, j in ((1, 2), (2, 1), (2, 2))]
+    return [tc.a, tc.ad, *atoms], 3
+
+
+ALPHABETS = {"two modes": _two_modes(),
+             "cavity and two atoms": _cavity_and_two_atoms()}
+
+
+@st.composite
+def order_specs(draw, subspaces: int):
+    if draw(st.booleans()):
+        return OrderSpec(uniform=draw(st.integers(1, 3)))
+    orders = draw(st.lists(st.integers(1, 3), min_size=subspaces,
+                           max_size=subspaces))
+    return OrderSpec(per_subspace=tuple(orders),
+                     reducer=draw(st.sampled_from(("max", "min"))))
+
+
+@pytest.mark.parametrize("name", sorted(ALPHABETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_expansion_with_repeated_factors_matches_brute_force(name, data):
+    """Products of up to 7 factors, where a' and a (and b', b) repeat."""
+    alphabet, subspaces = ALPHABETS[name]
+    indices = data.draw(st.lists(st.integers(0, len(alphabet) - 1),
+                                 min_size=1, max_size=7))
+    spec = data.draw(order_specs(subspaces))
+    filt = data.draw(st.sampled_from((None, FILTER_PHASE)))
+    expr = functools.reduce(qmul, (alphabet[i] for i in indices))
+    for ops, _ in expr.terms:
+        if not ops:
+            continue
+        assert expand_average(average_symbol(ops), spec, filt) == \
+            brute_expand(ops, spec, filt)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ orders 6 and 8, and the rendered order-8 <a'(t+tau) a(t)> delay system.
 import hashlib
 import os
 import sys
+import threading
 
 import pytest
 
@@ -115,6 +116,34 @@ def test_laser_archive_matches_digest(order):
 def test_laser_correlation_system_matches_digest():
     assert archive_digest(_laser_correlation_text(8)) == \
         LASER_CORRELATION_DIGEST
+
+
+def test_derivation_holds_no_shared_state_across_threads():
+    """Four threads complete two models at once, with very short time
+    slices so that they interleave inside the expansion; each archive must
+    equal the serial one."""
+    jobs = [lambda: serialize(_laser_closed(6)),
+            lambda: _model_file_archive("three_level")] * 2
+    serial = [job() for job in jobs]
+    results = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def run(k):
+        start.wait(timeout=60)
+        results[k] = jobs[k]()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
 
 
 if __name__ == "__main__":

@@ -229,6 +229,24 @@ def test_nan_guard():
                   StepperConfig.rk45(max_steps=10_000))
 
 
+def test_step_size_underflow_ends_a_blow_up():
+    # rk45 shrinks h towards the pole at t = 0.5 until t + h == t.  That
+    # must end the run there (about 21,400 RHS calls), not spin until the
+    # step budget is spent (60,001 calls for 10,000 steps).
+    calls = []
+
+    def blower(t, y):
+        calls.append(t)
+        return y / (0.5 - t)
+
+    with pytest.raises(IntegrationError,
+                       match=r"step size underflow at t = 0\.5$") as info:
+        integrate(blower, np.array([1.0 + 0j]), (0.0, 1.0),
+                  StepperConfig.rk45(max_steps=10_000))
+    assert 0.5 - 1e-12 < info.value.last_time < 0.5
+    assert len(calls) < 30_000
+
+
 def test_step_budget():
     with pytest.raises(IntegrationError):
         integrate(lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 10.0),
