@@ -10,12 +10,18 @@ Correlation symbols carry an additional frozen tail ``b_ops`` (the operator
 product pinned at the earlier time).  They are never conjugate-canonicalized:
 conjugating <A(t+tau) B(t)> does not yield another delayed-time average of
 the same family.
+
+:func:`average_symbol` names the symbol of a factor sequence and
+:attr:`AverageSymbol.factors` gives it back; :meth:`AverageSymbol.orient`
+relates an occurrence's value to its family's, so every per-average mapping,
+read through :func:`family_values`, takes keys in either orientation.
 """
 
 from __future__ import annotations
 
 from ..errors import AlgebraError
-from .operators import FundamentalOp, adjoint_sequence, seq_key, sequence_phase, touched_subspaces
+from .operators import (FrozenOp, FundamentalOp, adjoint_sequence, seq_key,
+                        sequence_phase, touched_subspaces)
 
 
 class AverageSymbol:
@@ -63,6 +69,18 @@ class AverageSymbol:
         return AverageSymbol(self.ops, False, self.b_ops)
 
     @property
+    def factors(self) -> tuple:
+        """The canonical factor sequence whose average this occurrence is.
+
+        The inverse of :func:`average_symbol`: a conjugated occurrence
+        averages the adjoint of its representative's product, and a
+        correlation variable ends in its frozen earlier-time product.
+        """
+        if self.b_ops is not None:
+            return self.ops + (FrozenOp(self.b_ops),)
+        return adjoint_sequence(self.ops) if self.conjugated else self.ops
+
+    @property
     def self_adjoint(self) -> bool:
         return self.b_ops is None and adjoint_sequence(self.ops) == self.ops
 
@@ -74,6 +92,15 @@ class AverageSymbol:
         if self.self_adjoint:
             return self
         return AverageSymbol(self.ops, not self.conjugated)
+
+    def orient(self, value):
+        """Turn a family value into this occurrence's value, or back.
+
+        A conjugated occurrence's value is the conjugate of its family's, so
+        one call serves both ways.  ``value`` is anything with
+        ``conjugate()``: a number, an array or a scalar expression.
+        """
+        return value.conjugate() if self.conjugated else value
 
     def phase(self) -> int:
         p = sequence_phase(self.ops)
@@ -88,15 +115,19 @@ class AverageSymbol:
         return sub
 
 
-def average_symbol(ops: tuple[FundamentalOp, ...]) -> AverageSymbol:
-    """Canonical symbol for <ops>: representative plus orientation flag.
+def average_symbol(ops: tuple) -> AverageSymbol:
+    """The symbol a canonical factor sequence averages to.
 
-    The representative is whichever of the sequence and its adjoint has the
-    smaller sequence key; if the requested orientation is the other one, the
-    returned symbol carries the conjugation flag.
+    A frozen last factor makes it the correlation variable of the factors
+    before it.  Otherwise the representative is whichever of the sequence
+    and its adjoint has the smaller sequence key; if the requested
+    orientation is the other one, the returned symbol carries the
+    conjugation flag.
     """
     if not ops:
         raise AlgebraError("the identity has no average symbol; it averages to 1")
+    if ops[-1].is_frozen:
+        return correlation_symbol(ops[:-1], ops[-1].ops)
     adj = adjoint_sequence(ops)
     if seq_key(adj) < seq_key(ops):
         return AverageSymbol(adj, True)
@@ -111,3 +142,12 @@ def correlation_symbol(tau_ops: tuple[FundamentalOp, ...],
     constant in the delay; an empty ``b_ops`` freezes the identity.
     """
     return AverageSymbol(tuple(tau_ops), False, tuple(b_ops))
+
+
+def family_values(values: dict) -> dict:
+    """A per-average mapping keyed by families, with family values.
+
+    Keys may be occurrences in either orientation; each value is turned
+    into its family's value by :meth:`AverageSymbol.orient`.
+    """
+    return {sym.family: sym.orient(value) for sym, value in values.items()}

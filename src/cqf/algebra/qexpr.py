@@ -78,12 +78,11 @@ def _normalize_nlevel_block(space_factor, block) -> list:
     return [(1, (op,))]
 
 
-def normalize_sequence(space: ProductSpace | None, seq) -> list:
+def normalize_sequence(space: ProductSpace, seq) -> list:
     """Rewrite an arbitrary factor sequence into canonical monomials.
 
-    Returns ``[(ComplexRational, ops tuple)]``.  ``space`` may be ``None``
-    only when the sequence is already canonical (no rewrite that needs level
-    data can then occur).  A frozen factor must be last and alone.
+    Returns ``[(ComplexRational, ops tuple)]``.  A frozen factor must be
+    last and alone.
     """
     frozen = None
     blocks: dict[int, list] = {}
@@ -109,13 +108,6 @@ def normalize_sequence(space: ProductSpace | None, seq) -> list:
                 f"mixed ladder/transition operators on subspace {idx}"
             )
         if kinds == {TRANSITION}:
-            if space is None:
-                if len(block) != 1:
-                    raise AlgebraError(
-                        "non-canonical transition product requires space context"
-                    )
-                branch_lists.append([(1, tuple(block))])
-                continue
             factor = space.factors[idx]
             if factor.kind != NLEVEL:
                 raise AlgebraError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .averages import AverageSymbol
-from .operators import CREATE, DESTROY, adjoint_sequence
+from .operators import CREATE, DESTROY
 from .scalars import ComplexRational, ScalarExpr
 
 
@@ -57,8 +57,7 @@ def render_average(sym: AverageSymbol) -> str:
     if sym.is_correlation:
         tau = render_ops(sym.ops) + "(t+τ)*" if sym.ops else ""
         return f"⟨{tau}{render_ops(sym.b_ops)}(t)⟩"
-    ops = adjoint_sequence(sym.ops) if sym.conjugated else sym.ops
-    return f"⟨{render_ops(ops)}⟩"
+    return f"⟨{render_ops(sym.factors)}⟩"
 
 
 def _render_term(coeff: ComplexRational, params, avgs) -> str:
@@ -136,8 +135,7 @@ def latex_average(sym: AverageSymbol) -> str:
         tagged = f"{tau}(t+\\tau)\\," if sym.ops else ""
         b = " ".join(latex_op(o) for o in sym.b_ops)
         return f"\\langle {tagged}{b}(t) \\rangle"
-    ops = adjoint_sequence(sym.ops) if sym.conjugated else sym.ops
-    return f"\\langle {' '.join(latex_op(o) for o in ops)} \\rangle"
+    return f"\\langle {' '.join(latex_op(o) for o in sym.factors)} \\rangle"
 
 
 def latex_coefficient(c: ComplexRational) -> str:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import AlgebraError, EvaluationError
-from .averages import AverageSymbol
+from .averages import AverageSymbol, family_values
 
 
 class ComplexRational:
@@ -289,8 +289,8 @@ class ScalarExpr:
     def __pow__(self, n: int) -> "ScalarExpr":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("scalar powers must be nonnegative integers")
-        out = _ONE
-        for _ in range(n):
+        out = self if n else _ONE
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -306,6 +306,9 @@ class ScalarExpr:
             d[key] = cc if prev is None else prev + cc
         return ScalarExpr._from_dict(d)
 
+    # the numeric name, so that AverageSymbol.orient conjugates expressions too
+    conjugate = conj
+
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, params: dict | None = None,
@@ -313,33 +316,32 @@ class ScalarExpr:
         """Fold to a complex float; exact arithmetic is kept per-term until the end.
 
         ``params`` maps parameter names to values, ``averages`` maps average
-        *families* (unconjugated symbols) to values.  Average values may be
+        symbols, in either orientation, to values.  Average values may be
         numpy arrays, which evaluates the expression elementwise.
         """
         params = params or {}
-        averages = averages or {}
+        averages = family_values(averages or {})
         total = 0j
         for coeff, pfac, afac in self.terms:
             total += term_value(coeff, pfac, afac, params, averages)
         return total
 
     def substitute(self, avg_map: dict) -> "ScalarExpr":
-        """Replace average families by scalar expressions.
+        """Replace averages by scalar expressions.
 
-        Conjugated occurrences of a mapped family receive the conjugate of
-        the replacement.  Unmapped symbols are kept.
+        ``avg_map`` keys may be given in either orientation; every
+        occurrence of a mapped family receives the replacement in its own
+        orientation.  Unmapped symbols are kept.
         """
+        avg_map = family_values({s: ScalarExpr.number(rep)
+                                 for s, rep in avg_map.items()})
         out = _ZERO
         for coeff, pfac, afac in self.terms:
             term = ScalarExpr(((coeff, pfac, ()),))
             for s, n in afac:
                 rep = avg_map.get(s.family)
-                if rep is None:
-                    factor = ScalarExpr.from_average(s)
-                else:
-                    factor = ScalarExpr.number(rep) if not isinstance(rep, ScalarExpr) else rep
-                    if s.conjugated:
-                        factor = factor.conj()
+                factor = (ScalarExpr.from_average(s) if rep is None
+                          else s.orient(rep))
                 term = term * factor**n
             out = out + term
         return out
@@ -352,7 +354,8 @@ def term_value(coeff: ComplexRational, pfac, afac, params: dict,
     ``pfac`` holds ``(Parameter, conjugated, power)`` and ``afac`` holds
     ``(AverageSymbol, power)``, the layout of :class:`ScalarExpr` terms.
     ``params`` maps parameter names to numbers; ``averages`` maps average
-    families to numbers or numpy arrays, which pass through uncoerced.
+    families to numbers or numpy arrays, which pass through uncoerced, and
+    each occurrence reads its family's value in its own orientation.
     """
     val = coeff.to_complex()
     for p, conjd, n in pfac:
@@ -366,10 +369,7 @@ def term_value(coeff: ComplexRational, pfac, afac, params: dict,
         fam = s.family
         if fam not in averages:
             raise EvaluationError(f"average {fam!r} is unbound")
-        v = averages[fam]
-        if s.conjugated:
-            v = v.conjugate()
-        val *= v**n
+        val *= s.orient(averages[fam])**n
     return val
 
 

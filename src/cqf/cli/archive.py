@@ -17,6 +17,7 @@ from ..algebra.averages import AverageSymbol
 from ..algebra.operators import TRANSITION, FundamentalOp
 from ..algebra.scalars import ComplexRational, Parameter, ScalarExpr
 from ..algebra.spaces import HilbertSpace, ProductSpace
+from ..completion import FILTER_NONE, FILTER_PHASE, filter_by_name
 from ..cumulant import OrderSpec
 from ..errors import ArchiveError
 from ..meanfield import EquationSet, MeanfieldEquation
@@ -60,8 +61,7 @@ def _scalar_entry(x: ScalarExpr, op_index: dict, param_index: dict) -> list:
 
 
 def serialize(eqs: EquationSet) -> str:
-    if eqs.filter is not None and getattr(eqs.filter, "name", "custom") not in (
-            "none", "phase"):
+    if not any(eqs.filter is preset for preset in (None, FILTER_NONE, FILTER_PHASE)):
         raise ArchiveError("only preset filters are archivable")
     spaces = [{"name": f.name, "kind": f.kind,
                "levels": list(f.levels), "ground": f.ground}
@@ -132,8 +132,6 @@ def deserialize(text: str) -> EquationSet:
     else:
         order = OrderSpec(per_subspace=tuple(order_doc["per_subspace"]),
                           reducer=order_doc["reducer"])
-    from ..completion import filter_by_name
-
     filt = None if doc["filter"] == "none" else filter_by_name(doc["filter"])
 
     equations = []

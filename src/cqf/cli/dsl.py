@@ -729,10 +729,7 @@ def pretty_print(parsed: ParsedModel) -> str:
             lines.append(f"observable {obs.name} = temperature("
                          f"{dsl_qexpr(obs.mode, table)}, {obs.omega:.12g})")
     for sym, value in sorted(options.initial.items(), key=lambda kv: kv[0].sort_key):
-        from ..algebra.operators import adjoint_sequence
-
-        seq = sym.ops if not sym.conjugated else adjoint_sequence(sym.ops)
-        names = "*".join(table[op] for op in seq)
+        names = "*".join(table[op] for op in sym.factors)
         lines.append(f"initial <{names}> = {value:.12g}")
     if options.tspan is not None:
         lines.append(f"tspan {options.tspan[0]:.12g} {options.tspan[1]:.12g}")

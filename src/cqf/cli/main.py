@@ -162,16 +162,22 @@ def _closed_equations(parsed: ParsedModel, args, quiet=False):
     return closed
 
 
-def _stepper(parsed: ParsedModel, args, tspan) -> StepperConfig:
-    """Stepper from the flags over the model file; runs before any derivation."""
+def _stepper_values(parsed: ParsedModel, args, names) -> dict:
+    """Each named setting from its flag, else from the model file, if given."""
     values = {}
-    for name in ("dt", "rtol", "atol"):
+    for name in names:
         value = getattr(args, name)
         if value is not None and not value > 0:
             raise CqfError(f"--{name} expects a positive number, got '{value:g}'")
         value = value if value is not None else getattr(parsed.options, name)
         if value is not None:
             values[name] = value
+    return values
+
+
+def _stepper(parsed: ParsedModel, args, tspan) -> StepperConfig:
+    """Stepper from the flags over the model file; runs before any derivation."""
+    values = _stepper_values(parsed, args, ("dt", "rtol", "atol"))
     method = (args.method or parsed.options.method
               or ("rk4" if "dt" in values else "rk45"))
     if method == "rk4" and "dt" not in values:
@@ -290,9 +296,7 @@ def cmd_solve(args) -> int:
         deviations = []
         for k, lhs in enumerate(prog.layout):
             op = QExpr(parsed.model.space, ((lhs.ops, ScalarExpr.one()),))
-            ref = me.expect(op)
-            if lhs.conjugated:
-                ref = ref.conjugate()
+            ref = lhs.orient(me.expect(op))
             name = render_average(lhs)
             header.extend([f"ME:Re{name}", f"ME:Im{name}"])
             columns.extend([ref.real, ref.imag])
@@ -307,10 +311,20 @@ def cmd_solve(args) -> int:
 
 
 def _correlation_inputs(parsed: ParsedModel, args, params):
+    """Correlation system, reference state, operators and delay stepper.
+
+    The steady state and the delay trajectory run rk45 at the resolved
+    tolerances; only a co-evolved reference time uses the model's stepper.
+    """
     if parsed.options.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
     a_expr, b_expr = parsed.options.correlation
     steady = not args.no_steady
+    adaptive = StepperConfig.rk45(**_stepper_values(parsed, args, ("rtol", "atol")))
+    if steady and (args.dt is not None or args.method == "rk4"):
+        flag = "--dt" if args.dt is not None else "--method rk4"
+        raise CqfError(f"{flag} does not apply to a steady-state correlation, "
+                       "which runs rk45: set --rtol/--atol or pass --no-steady")
     if not steady:
         tspan = parsed.options.tspan
         if tspan is None:
@@ -322,12 +336,12 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
     bound = prog.bind(params)
     u0 = initial_state(prog.layout, parsed.options.initial)
     if steady:
-        state = steady_state(bound, u0)
+        state = steady_state(bound, u0, adaptive)
     else:
         state = integrate(bound, u0, tspan, cfg).final_state
     cs = build_correlation_system(a_expr, b_expr, closed, steady=steady)
     state_map = state_mapping(prog.layout, state)
-    return closed, cs, state_map, a_expr, b_expr
+    return cs, state_map, a_expr, b_expr, adaptive
 
 
 def _tau_window(cs, state_map, params, args):
@@ -343,11 +357,11 @@ def cmd_correlate(args) -> int:
     parsed = _parse_model_file(args.model)
     params = _resolve_params(parsed, args)
     oracle = _oracle_setup(parsed, args)
-    closed, cs, state_map, a_expr, b_expr = _correlation_inputs(parsed, args, params)
+    cs, state_map, a_expr, b_expr, cfg = _correlation_inputs(parsed, args, params)
     tau_max = _tau_window(cs, state_map, params, args)
     taus = np.linspace(0.0, tau_max, args.tau_points)
-    traj = correlation_trajectory(cs, state_map, (0.0, tau_max),
-                                  StepperConfig.rk45(), params, saveat=taus)
+    traj = correlation_trajectory(cs, state_map, (0.0, tau_max), cfg, params,
+                                  saveat=taus)
     corr = traj.states[:, 0]
     header = ["tau", "ReC", "ImC"]
     columns = [traj.times, corr.real, corr.imag]
@@ -381,7 +395,7 @@ def cmd_spectrum(args) -> int:
     else:
         omegas = np.linspace(*DEFAULT_OMEGA)
     oracle = _oracle_setup(parsed, args)
-    closed, cs, state_map, a_expr, b_expr = _correlation_inputs(parsed, args, params)
+    cs, state_map, a_expr, b_expr, cfg = _correlation_inputs(parsed, args, params)
     if cs.steady:
         ls = linearize_steady(cs, state_map, params)
         result = spectrum_laplace(ls, omegas)
@@ -390,8 +404,8 @@ def cmd_spectrum(args) -> int:
     else:
         tau_max = _tau_window(cs, state_map, params, args)
         taus = np.linspace(0.0, tau_max, args.tau_points)
-        traj = correlation_trajectory(cs, state_map, (0.0, tau_max),
-                                      StepperConfig.rk45(), params, saveat=taus)
+        traj = correlation_trajectory(cs, state_map, (0.0, tau_max), cfg,
+                                      params, saveat=taus)
         result = spectrum_fourier(taus, traj.states[:, 0], omegas)
     header = ["omega", "S"]
     columns = [result.omegas, result.values]

@@ -94,10 +94,8 @@ def complete(eqs: EquationSet, order=None, filt="inherit",
     if spec != eqs.order or active_filter is not eqs.filter:
         from .algebra.qexpr import QExpr
         from .algebra.scalars import ScalarExpr
-        from .meanfield import lhs_operator_sequence
 
-        seeds = [QExpr(eqs.model.space, ((lhs_operator_sequence(eq.lhs),
-                                          ScalarExpr.one()),))
+        seeds = [QExpr(eqs.model.space, ((eq.lhs.factors, ScalarExpr.one()),))
                  for eq in eqs]
         eqs = meanfield_derive(seeds, eqs.model, spec, active_filter)
 

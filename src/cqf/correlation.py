@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra.averages import AverageSymbol, correlation_symbol
+from .algebra.averages import AverageSymbol, correlation_symbol, family_values
 from .algebra.qexpr import QExpr, append_frozen, mul_sequences
 from .algebra.render import render_average
 from .algebra.scalars import ScalarExpr
@@ -140,9 +140,9 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
 
 
 def _as_state_map(cs: CorrelationSystem, state) -> dict:
-    """Accept either a family->value mapping or a base-layout state vector."""
+    """Accept either a per-average mapping or a base-layout state vector."""
     if isinstance(state, dict):
-        return {s.family: complex(v) for s, v in state.items()}
+        return family_values(state)
     layout = tuple(eq.lhs for eq in cs.base.equations)
     return state_mapping(layout, np.asarray(state))
 
@@ -173,7 +173,7 @@ def initial_values(cs: CorrelationSystem, state) -> np.ndarray:
                     raise EvaluationError(
                         f"average {render_average(sym.family)} is unbound"
                     )
-                y0[k] = np.conj(value) if sym.conjugated else value
+                y0[k] = sym.orient(value)
         except EvaluationError as err:
             raise ClosureError(
                 f"initial value of {render_average(sym)} needs an average "

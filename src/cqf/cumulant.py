@@ -36,9 +36,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
-from .algebra.operators import FrozenOp
-from .algebra.qexpr import normalize_sequence
+from .algebra.averages import AverageSymbol, average_symbol
+from .algebra.operators import TRANSITION
 from .algebra.scalars import ScalarExpr
 from .errors import AlgebraError, CapacityError
 
@@ -134,39 +133,32 @@ def _keeps(filt, sym: AverageSymbol) -> bool:
     return True if filt is None else filt.keep(sym)
 
 
-def _average_of_product(factors) -> ScalarExpr:
-    """Average of a factor subsequence, re-normalized before symbol creation.
+def _canonical(factors, empty_message: str) -> tuple:
+    """``factors`` as a tuple, refused unless it is a canonical product.
 
-    Subsequences of canonical products are canonical again, so this is a
-    safety net rather than real rewriting; it guarantees the expansion can
-    only ever emit canonical averages.
+    Canonical means sorted, so normal-ordered and in subspace order, with
+    at most one transition per subspace and a frozen factor only at the
+    end.  Ground projectors are not detected: that needs the space.
     """
-    out = ScalarExpr.zero()
-    for coeff, ops in normalize_sequence(None, tuple(factors)):
-        if not ops:
-            out = out + ScalarExpr.number(coeff)
-        elif ops[-1].is_frozen:
-            atom = correlation_symbol(ops[:-1], ops[-1].ops)
-            out = out + ScalarExpr.from_average(atom) * coeff
-        else:
-            atom = average_symbol(ops)
-            out = out + ScalarExpr.from_average(atom) * coeff
-    return out
-
-
-def _symbol_factors(sym: AverageSymbol) -> tuple:
-    if sym.is_correlation:
-        return sym.ops + (FrozenOp(sym.b_ops),)
-    return sym.ops
+    factors = tuple(factors)
+    if not factors:
+        raise AlgebraError(empty_message)
+    regular = factors[:-1] if factors[-1].is_frozen else factors
+    if (any(op.is_frozen for op in regular) or list(regular) != sorted(regular)
+            or any(a.subspace == b.subspace and TRANSITION in (a.kind, b.kind)
+                   for a, b in zip(regular, regular[1:]))):
+        raise AlgebraError(f"{factors} is not a canonical product; "
+                           "multiply it out with qmul first")
+    return factors
 
 
 def _expansion(factors: tuple, block_value) -> ScalarExpr:
     """The average of ``factors`` with their joint cumulant set to zero.
 
     Blocks are count vectors over the runs of equal factors.  m(u) is
-    ``block_value`` of a proper block's average, and the cumulants k(u) of
-    proper blocks follow from m(u) = sum over the partitions of u of
-    products of cumulants.  With k(v) = 0 for the whole product v,
+    ``block_value`` of a proper block's average symbol, and the cumulants
+    k(u) of proper blocks follow from m(u) = sum over the partitions of u
+    of products of cumulants.  With k(v) = 0 for the whole product v,
 
         m(v) = sum over u holding the first factor, u != v, of
                C(v0 - 1, u0 - 1) * prod_i>0 C(vi, ui) * k(u) * m(v - u),
@@ -190,7 +182,7 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
         hit = moments.get(u)
         if hit is None:
             block = [op for op, k in zip(distinct, u) for _ in range(k)]
-            hit = moments[u] = block_value(_average_of_product(block))
+            hit = moments[u] = block_value(average_symbol(tuple(block)))
         return hit
 
     def cumulant(u) -> ScalarExpr:
@@ -230,22 +222,20 @@ def joint_cumulant(factors) -> ScalarExpr:
     full-sequence average enters with coefficient one.  The cumulant is the
     full average minus its one-step moment expansion.
     """
-    factors = tuple(factors)
-    if not factors:
-        raise AlgebraError("the joint cumulant of an empty product is undefined")
-    return _average_of_product(factors) - moment_expansion_once(factors)
+    factors = _canonical(factors, "the joint cumulant of an empty product is undefined")
+    return (ScalarExpr.from_average(average_symbol(factors))
+            - moment_expansion_once(factors))
 
 
 def moment_expansion_once(factors) -> ScalarExpr:
     """The vanishing-cumulant substitution applied a single time.
 
-    Expresses the full-sequence average through proper-partition products;
-    residual averages are left untouched (no recursion).
+    Expresses the full-sequence average of a canonical product through
+    proper-partition products; residual averages are left untouched (no
+    recursion).
     """
-    factors = tuple(factors)
-    if not factors:
-        raise AlgebraError("cannot expand an empty product")
-    return _expansion(factors, lambda block_avg: block_avg)
+    factors = _canonical(factors, "cannot expand an empty product")
+    return _expansion(factors, ScalarExpr.from_average)
 
 
 # The memo of the innermost ``expansion_memo`` block: each thread, and each
@@ -294,9 +284,8 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
     elif avg.order <= spec.resolve(avg.touched()):
         result = ScalarExpr.from_average(avg)
     else:
-        result = _expansion(
-            _symbol_factors(avg),
-            lambda block_avg: expand_scalar(block_avg, spec, filt))
+        result = _expansion(avg.factors,
+                            lambda block: expand_average(block, spec, filt))
     memo[key] = result
     return result
 

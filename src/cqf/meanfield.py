@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
-from .algebra.operators import adjoint_sequence, touched_subspaces
+from .algebra.averages import AverageSymbol, average_symbol
+from .algebra.operators import touched_subspaces
 from .algebra.qexpr import QExpr, adjoint, qmul
 from .algebra.render import latex_average, latex_scalar, render_average, render_scalar
 from .algebra.scalars import I_UNIT, Parameter, ScalarExpr
@@ -77,19 +77,12 @@ class ModelDefinition:
 def average(x: QExpr) -> ScalarExpr:
     """Convert an operator expression to a c-number expression, linearly.
 
-    Every monomial becomes its (conjugate-canonicalized) average symbol; a
-    frozen tail turns the monomial into a correlation variable instead.
+    Every monomial becomes its average symbol (see :func:`average_symbol`).
     """
     out = ScalarExpr.zero()
     for ops, coeff in x.terms:
-        if not ops:
-            out = out + coeff
-            continue
-        if ops[-1].is_frozen:
-            atom = correlation_symbol(ops[:-1], ops[-1].ops)
-        else:
-            atom = average_symbol(ops)
-        out = out + coeff * ScalarExpr.from_average(atom)
+        out = out + (coeff * ScalarExpr.from_average(average_symbol(ops))
+                     if ops else coeff)
     return out
 
 
@@ -137,18 +130,6 @@ class MeanfieldEquation:
     def latex(self) -> str:
         return (f"\\frac{{d}}{{dt}} {latex_average(self.lhs)} &= "
                 f"{latex_scalar(self.rhs)}")
-
-
-def lhs_operator_sequence(sym: AverageSymbol) -> tuple:
-    """The operator product a stored equation actually evolves.
-
-    Equations keep the orientation they were requested in; if the stored
-    symbol is a conjugated occurrence of its representative, the underlying
-    product is the adjoint of the representative's.
-    """
-    if sym.is_correlation:
-        raise AlgebraError("correlation symbols are handled by the correlation module")
-    return adjoint_sequence(sym.ops) if sym.conjugated else sym.ops
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algebra.averages import AverageSymbol
+from ..algebra.averages import AverageSymbol, family_values
 from ..algebra.render import render_average
 from ..algebra.scalars import term_value
 from ..errors import ClosureError, EvaluationError
@@ -72,7 +72,7 @@ class RHSProgram:
             raise EvaluationError(
                 "unbound parameters: " + ", ".join(sorted(missing))
             )
-        constants = {s.family: complex(v) for s, v in (constants or {}).items()}
+        constants = family_values(constants or {})
         missing_c = [s for s in self.external if s not in constants]
         if missing_c:
             raise ClosureError(
@@ -147,9 +147,7 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
     a right-hand side is a closure error.
     """
     layout = tuple(eq.lhs for eq in eqs.equations)
-    index: dict[AverageSymbol, int] = {}
-    for k, lhs in enumerate(layout):
-        index[lhs.family] = k
+    index = {lhs.family: k for k, lhs in enumerate(layout)}
     external = tuple(s.family for s in external)
     external_set = set(external)
 
@@ -167,9 +165,8 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
                 fam = sym.family
                 k = index.get(fam)
                 if k is not None:
-                    lhs = layout[k]
-                    conj_needed = sym.conjugated != lhs.conjugated
-                    state_factors.append((k, conj_needed, power))
+                    state_factors.append(
+                        (k, sym.conjugated != layout[k].conjugated, power))
                 elif fam in external_set:
                     external_factors.append((sym, power))
                 else:
@@ -193,14 +190,10 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
 def state_mapping(layout, y) -> dict:
     """Map average families to values given a state vector.
 
-    Stored orientations are resolved: if an equation stores the conjugated
-    occurrence of its representative, the family value is the conjugate of
-    the state entry.
+    Each entry holds the value of the layout's occurrence; the mapping
+    holds its family's value.
     """
-    out = {}
-    for lhs, value in zip(layout, y):
-        out[lhs.family] = complex(value).conjugate() if lhs.conjugated else complex(value)
-    return out
+    return family_values({lhs: complex(value) for lhs, value in zip(layout, y)})
 
 
 def initial_state(layout, values: dict | None = None) -> np.ndarray:
@@ -210,19 +203,13 @@ def initial_state(layout, values: dict | None = None) -> np.ndarray:
     the override is stored in the orientation of the layout entry.
     """
     y0 = np.zeros(len(layout), dtype=np.complex128)
-    if not values:
-        return y0
-    index = {lhs.family: (k, lhs.conjugated) for k, lhs in enumerate(layout)}
-    for sym, value in values.items():
-        fam = sym.family
+    index = {lhs.family: k for k, lhs in enumerate(layout)}
+    for fam, value in family_values(values or {}).items():
         if fam not in index:
             raise ClosureError(
-                f"initial value given for {render_average(sym)}, which is not "
+                f"initial value given for {render_average(fam)}, which is not "
                 "in the state layout"
             )
-        k, stored_conj = index[fam]
-        v = complex(value)
-        if sym.conjugated != stored_conj:
-            v = v.conjugate()
-        y0[k] = v
+        k = index[fam]
+        y0[k] = layout[k].orient(complex(value))
     return y0

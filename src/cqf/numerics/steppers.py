@@ -111,9 +111,7 @@ class Trajectory:
         fam = sym.family
         for k, lhs in enumerate(self.layout):
             if lhs.family == fam:
-                series = self.states[:, k]
-                want_conj = sym.conjugated != lhs.conjugated
-                return series.conjugate() if want_conj else series
+                return sym.orient(lhs.orient(self.states[:, k]))
         raise AlgebraError(f"symbol {sym!r} not in trajectory layout")
 
 

@@ -24,7 +24,7 @@ from .errors import AlgebraError, EvaluationError
 from .meanfield import ModelDefinition
 from .numerics.steppers import StepperConfig, integrate, steady_state
 
-MASTER_EQUATION_TOLS = dict(trace=1e-8, hermiticity=1e-8, leak=1e-4)
+LEAK_THRESHOLD = 1e-4       # top-Fock-level population that flags truncation
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
     result = MEResult(traj.times, rhos, model.space, trunc, params)
     for name, proj in _top_level_projectors(model.space, trunc):
         top = max(abs(expect(proj, rho)) for rho in rhos)
-        if top > MASTER_EQUATION_TOLS["leak"]:
+        if top > LEAK_THRESHOLD:
             result.warnings.append(
                 f"truncation leak on {name!r}: top-level population {top:.3e}"
             )

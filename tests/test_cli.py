@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from cqf import (StepperConfig, Trajectory, average_symbol, complete,
-                 meanfield_derive, qmul)
+from cqf import (FilterFunction, StepperConfig, Trajectory, average_symbol,
+                 complete, meanfield_derive, qmul)
 from cqf.cli import (deserialize, load, parse_model, pretty_print, save,
                      serialize)
 from cqf.cli.dsl import ObservableDef
@@ -181,6 +181,15 @@ def test_archived_sets_refuse_rederivation(laser):
         complete_fn(restored, order=4)
     with pytest.raises(AlgebraError):
         build_correlation_system(laser.ad, laser.a, restored)
+
+
+def test_only_preset_filter_objects_are_archivable(laser):
+    """A custom filter named like a preset must not reload as the preset."""
+    lookalike = FilterFunction("phase", lambda sym: True)
+    eqs = complete(meanfield_derive([qmul(laser.ad, laser.a)], laser.model, 2,
+                                    lookalike))
+    with pytest.raises(ArchiveError, match="only preset filters are archivable"):
+        serialize(eqs)
 
 
 def test_bad_archive_payload():
@@ -370,6 +379,50 @@ def test_spectrum_non_steady_matches_steady_after_relaxation(laser_file, tmp_pat
     s = np.loadtxt(out_s, delimiter=",", skiprows=1)
     n = np.loadtxt(out_n, delimiter=",", skiprows=1)
     assert np.max(np.abs(s[:, 1] - n[:, 1])) < 2e-2 * s[:, 1].max()
+
+
+@pytest.mark.parametrize("command, stepped", [
+    ("correlate", {"steady_state", "correlation_trajectory"}),
+    ("spectrum", {"steady_state"}),
+])
+def test_steady_correlation_integrates_at_the_resolved_tolerances(
+        laser_file, monkeypatch, command, stepped):
+    """The steady state and the delay trajectory run rk45 at the flag's
+    tolerance, else the model file's, whatever the file's solver line."""
+    with open(laser_file, "a", encoding="utf-8") as fh:
+        fh.write("rtol 1e-9\natol 1e-11\n")
+    configs = {}
+
+    def spy(name, cfg_position):
+        real = getattr(main_mod, name)
+
+        def wrapped(*args, **kwargs):
+            configs[name] = args[cfg_position]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(main_mod, name, wrapped)
+
+    spy("steady_state", 2)
+    spy("correlation_trajectory", 3)
+    assert main([command, laser_file, "--atol", "1e-12", "--tau-max", "5",
+                 "--tau-points", "11", "--out", laser_file + ".out"]) == 0
+    assert set(configs) == stepped
+    for cfg in configs.values():
+        assert (cfg.method, cfg.rtol, cfg.atol) == ("rk45", 1e-9, 1e-12)
+
+
+@pytest.mark.parametrize("command", ["correlate", "spectrum"])
+@pytest.mark.parametrize("flags", [["--dt", "0.1"], ["--method", "rk4"]])
+def test_steady_correlation_refuses_fixed_step_flags(laser_file, capsys,
+                                                     monkeypatch, command,
+                                                     flags):
+    def derive(*args):
+        raise AssertionError("derivation ran before the flags were checked")
+
+    monkeypatch.setattr(main_mod, "meanfield_derive", derive)
+    assert main([command, laser_file, *flags]) == 1
+    named = flags[0] if flags[0] == "--dt" else " ".join(flags)
+    assert capsys.readouterr().err.startswith(f"error: {named} does not apply")
 
 
 def test_order_flag_overrides_model_file(laser_file, capsys):

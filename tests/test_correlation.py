@@ -309,3 +309,42 @@ def test_driven_linearization_is_the_lowered_derivative(optomech):
     cs = build_correlation_system(a.dag(), a, closed, steady=True)
     ls, const = _assert_one_term_table(cs, state, optomech.params)
     assert const and np.max(np.abs(ls.drive)) > 1e-3
+
+
+def test_per_average_mappings_read_either_orientation(laser):
+    """A steady state keyed by conjugated occurrences reads as the same
+    state keyed by families, on the laser with a coherent drive."""
+    from cqf import ModelDefinition, parameters
+
+    (eta,) = parameters("η")
+    model = ModelDefinition.create(
+        laser.space, laser.model.hamiltonian + eta * (laser.a + laser.ad),
+        jumps=laser.model.jumps, rates=laser.model.rates)
+    params = {**laser.params, "η": 0.7}
+    closed = complete(meanfield_derive([qmul(laser.ad, laser.a)], model, 2))
+    prog = lower(closed)
+    yss = steady_state(prog.bind(params), initial_state(prog.layout))
+    by_family = state_mapping(prog.layout, yss)
+    flipped = {fam.conj(): v if fam.self_adjoint else v.conjugate()
+               for fam, v in by_family.items()}
+    assert any(sym.conjugated for sym in flipped)
+
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    ls, ls_flipped = (linearize_steady(cs, m, params) for m in (by_family, flipped))
+    assert np.max(np.abs(ls.drive)) > 1e-3
+    for part in ("y0", "drive", "matrix"):
+        assert np.array_equal(getattr(ls_flipped, part), getattr(ls, part)), part
+
+    cfg = StepperConfig.rk45()
+    traj, traj_flipped = (correlation_trajectory(cs, m, (0.0, 2.0), cfg, params)
+                          for m in (by_family, flipped))
+    assert np.array_equal(traj_flipped.states, traj.states)
+
+    delay = lower(EquationSet(cs.equations, model, closed.order, closed.filter),
+                  external=cs.constants)
+    y = np.linspace(0.5, 1.5, delay.size) * (1 - 0.5j)
+    assert np.array_equal(delay.bind(params, flipped)(0.0, y),
+                          delay.bind(params, by_family)(0.0, y))
+
+    assert np.array_equal(initial_state(prog.layout, flipped), yss)
+    assert np.array_equal(initial_state(prog.layout, by_family), yss)

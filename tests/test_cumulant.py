@@ -369,3 +369,14 @@ def test_same_named_filters_do_not_share_cached_expansions(laser):
     assert not expand_average(sym, 2, keep_all).is_zero
     # every proper partition of three factors has a singleton block
     assert expand_average(sym, 2, drop_order_one).is_zero
+
+
+def test_cumulants_refuse_non_canonical_products(laser):
+    """An unordered product would be normal-ordered as a whole but not in
+    its blocks; it is refused instead."""
+    for factors in (_ops(laser.a, laser.ad), _ops(laser.see, laser.ad),
+                    _ops(laser.sge, laser.seg)):
+        with pytest.raises(AlgebraError, match="not a canonical product"):
+            joint_cumulant(factors)
+        with pytest.raises(AlgebraError, match="not a canonical product"):
+            moment_expansion_once(factors)
