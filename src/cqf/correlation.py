@@ -12,12 +12,12 @@ affine,
 
     dy/dtau = M y + d,
 
-and M and d are read off the same lowered term table that drives the delay
-integration, with the steady averages bound as external constants.  The
-spectrum follows from the one-sided Fourier transform evaluated via
-the resolvent: solve (i w - M) x = y(0) + d/(i w) per frequency and take
-S(w) = 2 Re x_primary.  Away from steady state the single-time averages are
-co-evolved in the delay instead.
+and M and d are the Jacobian and the value at zero of the same lowered
+program that drives the delay integration, with the steady averages bound
+as external constants.  The spectrum follows from the one-sided Fourier
+transform evaluated via the resolvent: solve (i w - M) x = y(0) + d/(i w)
+per frequency and take S(w) = 2 Re x_primary.  Away from steady state the
+single-time averages are co-evolved in the delay instead.
 """
 
 from __future__ import annotations
@@ -192,8 +192,10 @@ def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem
     """The affine steady-state delay dynamics, read off the lowered term table.
 
     Once steady averages and parameters are folded in, every term must be
-    constant or carry exactly one correlation variable to the first power;
-    anything else indicates a broken frozen-factor invariant.
+    constant or carry exactly one unconjugated correlation variable to the
+    first power; anything else indicates a broken frozen-factor invariant.
+    The dynamics is then affine: M is the Jacobian and d the derivative at
+    zero of the bound delay program.
     Delay-constant variables (frozen products with no delayed factor, as
     produced by coherent driving) are folded into the drive vector rather
     than kept as trivial rows.
@@ -208,19 +210,16 @@ def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem
     state_map = _as_state_map(cs, state)
     y0 = initial_values(cs, state_map)
     prog = _lower(cs)
-    n = prog.size
-    M = np.zeros((n, n), dtype=np.complex128)
-    d = np.zeros(n, dtype=np.complex128)
-    for term, c in zip(prog.terms, prog.coefficients(params, state_map)):
-        if not term.state_factors:
-            d[term.equation] += c
-        elif (len(term.state_factors) == 1
-              and term.state_factors[0][1:] == (False, 1)):
-            M[term.equation, term.state_factors[0][0]] += c
-        else:
+    for term in prog.terms:
+        if (sum(power for _, _, power in term.state_factors) > 1
+                or any(conjd for _, conjd, _ in term.state_factors)):
             raise ConsistencyError(
                 "right-hand side is nonlinear in correlation variables"
             )
+    bound = prog.bind(params, state_map)
+    zero = np.zeros(prog.size, dtype=np.complex128)
+    M = bound.jacobian(zero)[0]
+    d = bound(0.0, zero)
     dyn = [k for k, lhs in enumerate(prog.layout) if lhs.ops]
     const = [k for k, lhs in enumerate(prog.layout) if not lhs.ops]
     drive = d[dyn] + M[np.ix_(dyn, const)] @ y0[const]

@@ -39,12 +39,19 @@ class IntegrationError(CqfError):
 
 
 class NonStationaryError(CqfError):
-    """Steady-state search hit the time cap before the residual converged."""
+    """No steady state the dynamics reaches was found: the search did not
+    converge, or the root it converged to is unstable.
 
-    def __init__(self, message: str, residual: float, time: float):
+    ``certificate`` holds the final residual, iterations and spectral
+    abscissa when the search used the Jacobian, else None.
+    """
+
+    def __init__(self, message: str, residual: float, time: float,
+                 certificate=None):
         super().__init__(message)
         self.residual = residual
         self.time = time
+        self.certificate = certificate
 
 
 class DslError(CqfError):

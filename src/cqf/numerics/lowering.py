@@ -14,9 +14,9 @@ coefficient, the parameter monomial and the external constants to one
 complex number per term (folds are shared between identical coefficient
 patterns).  Binding turns the folded table into a derivative that gathers
 every term's state reads, multiplies them into the coefficients and sums
-each equation's terms, with one kernel for every system size.
-The steady-state linearization of correlation systems scatters the same
-folded table into a matrix and a drive vector.
+each equation's terms, with one kernel for every system size.  The
+Jacobian reuses the same reads, so the Newton steady state and the
+steady-state linearization of correlation systems read the same table.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ class BoundRHS:
         sizes = np.array([max(1, len(segment)) for segment in segments],
                          dtype=np.intp)
         self._starts = np.cumsum(sizes) - sizes
+        self._sizes = sizes
+        self._scatter = None
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         z = np.concatenate((y, y.conjugate(), _ONE))
@@ -137,6 +139,33 @@ class BoundRHS:
         for row in self._rows[1:]:
             vals *= z[row]
         return np.add.reduceat(vals, self._starts)
+
+    def jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = self.size
+        if self._scatter is None:
+            # flat (equation, column) cell of every read, padding reads
+            # dropped; built on first use, so that binding never pays for it
+            # (concurrent first calls build equal tables)
+            equation = np.repeat(np.arange(n), self._sizes)
+            cells = np.concatenate([equation * 2 * n + row for row in self._rows])
+            keep = np.concatenate(self._rows) < 2 * n
+            self._scatter = (cells[keep], keep)
+        cells, keep = self._scatter
+        z = np.concatenate((y, y.conjugate(), _ONE))
+        reads = [z[row] for row in self._rows]
+        # product of every read but the j-th: prefix times suffix products
+        before = [self._coeffs]
+        for g in reads[:-1]:
+            before.append(before[-1] * g)
+        after = np.ones_like(self._coeffs)
+        parts = [None] * len(reads)
+        for j in range(len(reads) - 1, -1, -1):
+            parts[j] = before[j] * after
+            after = after * reads[j]
+        vals = np.concatenate(parts)[keep]
+        jac = (np.bincount(cells, vals.real, 2 * n * n)
+               + 1j * np.bincount(cells, vals.imag, 2 * n * n)).reshape(n, 2 * n)
+        return jac[:, :n], jac[:, n:]
 
 
 def lower(eqs: EquationSet, external=()) -> RHSProgram:

@@ -129,14 +129,14 @@ class _Recorder:
     """Collects output rows, either at solver steps or at requested times.
 
     A row is ``observe(state)``, the state itself by default.  Rows at
-    requested times go straight into one preallocated array; the number of
-    solver steps is not known in advance, so those rows are collected in a
-    list.
+    requested times go straight into one preallocated array, all the times
+    within one step interpolated at once; the number of solver steps is not
+    known in advance, so those rows are collected in a list.
     """
 
     def __init__(self, saveat, t0, t1, y0, observe=None):
-        self.observe = observe or (lambda y: y)
-        first = np.array(self.observe(y0))
+        self.observe = observe
+        first = np.array(y0 if observe is None else observe(y0))
         if saveat is None:
             self.saveat = None
             self.times = [t0]
@@ -153,25 +153,45 @@ class _Recorder:
                 f"saveat time {self.saveat[outside.argmax()]:.6g} lies outside "
                 f"the integration span [{t0:.6g}, {t1:.6g}]")
         self.rows = np.empty((len(self.saveat),) + first.shape, dtype=first.dtype)
-        self.cursor = 0
-        while (self.cursor < len(self.saveat)
-               and self.saveat[self.cursor] <= t0):
-            self.rows[self.cursor] = first
-            self.cursor += 1
+        # requested times as floats, and the first not yet filled (or inf)
+        self.pending = self.saveat.tolist() + [np.inf]
+        self.cursor = int(np.searchsorted(self.saveat, t0, side="right"))
+        self.rows[:self.cursor] = first
 
     def on_step(self, t_prev, y_prev, f_prev, t_new, y_new, f_new):
         if self.saveat is None:
             self.times.append(t_new)
-            self.rows.append(np.array(self.observe(y_new)))
+            self.rows.append(np.array(y_new if self.observe is None
+                                      else self.observe(y_new)))
             return
-        while self.cursor < len(self.saveat) and self.saveat[self.cursor] <= t_new + 1e-12 * max(1.0, abs(t_new)):
-            t = float(self.saveat[self.cursor])
-            if t >= t_new:
-                y = y_new
-            else:
-                y = _hermite(t, t_prev, y_prev, f_prev, t_new, y_new, f_new)
-            self.rows[self.cursor] = self.observe(y)
-            self.cursor += 1
+        reach = t_new + 1e-12 * max(1.0, abs(t_new))
+        pending = self.pending
+        if pending[self.cursor] > reach:
+            return
+        # rows before t_new are interpolated, rows from t_new on are y_new
+        start = inside = self.cursor
+        while pending[inside] < t_new:
+            inside += 1
+        end = inside
+        while pending[end] <= reach:
+            end += 1
+        self.cursor = end
+        if inside > start and self.observe is None:
+            # one broadcast call for all the times in the step; a lone time
+            # stays a float, which is cheaper than a 1 x 1 array
+            times = (pending[start] if inside == start + 1
+                     else self.saveat[start:inside, None])
+            self.rows[start:inside] = _hermite(times, t_prev, y_prev, f_prev,
+                                               t_new, y_new, f_new)
+        elif inside > start:
+            # observed rows are made one state at a time, so that no more
+            # than one interpolated state is held at once
+            self.rows[start:inside] = [
+                self.observe(_hermite(t, t_prev, y_prev, f_prev, t_new, y_new, f_new))
+                for t in pending[start:inside]]
+        if end > inside:
+            self.rows[inside:end] = y_new if self.observe is None else \
+                self.observe(y_new)
 
     def finish(self, layout) -> Trajectory:
         if self.saveat is None:
@@ -248,14 +268,127 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     return recorder.finish(layout)
 
 
+# Pseudo-transient continuation: first pseudo-time step, its growth per
+# accepted step, its cut after a failed one, the iteration budget, and the
+# spectral abscissa (relative to max|J|) above which a root counts as unstable.
+_PTC_DELTA0 = 0.1
+_PTC_GROW = 1.5
+_PTC_SHRINK = 0.25
+_PTC_MAX_ITER = 200
+_ABSCISSA_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SteadyCertificate:
+    """How a Newton steady state was checked.
+
+    ``residual`` is max|f| over the full complex state, ``iterations`` the
+    pseudo-transient steps taken and ``abscissa`` the largest real part of
+    the eigenvalues of the real Jacobian at the root.
+    """
+
+    residual: float
+    iterations: int
+    abscissa: float
+
+
+class _RealSystem:
+    """f as a real system: the real parts of every entry and the imaginary
+    parts of entries whose average is not self-adjoint (those stay real)."""
+
+    def __init__(self, f, n):
+        layout = getattr(getattr(f, "program", None), "layout", None)
+        self.n = n
+        self.complex = np.array([not s.self_adjoint for s in layout], dtype=bool) \
+            if layout is not None else np.ones(n, dtype=bool)
+
+    def pack(self, y):
+        return np.concatenate((y.real, y.imag[self.complex]))
+
+    def unpack(self, x):
+        y = x[:self.n].astype(np.complex128)
+        y[self.complex] += 1j * x[self.n:]
+        return y
+
+    def jacobian(self, f, y):
+        """The real Jacobian, stored as complex: the spectra call only the
+        complex LAPACK routines, and calling the real ones as well adds
+        their code to the process (0.85 MB of peak RSS on the laser)."""
+        dy, dconj = f.jacobian(y)
+        du, dv = dy + dconj, 1j * (dy - dconj)     # d/dRe y, d/dIm y
+        keep = self.complex
+        return np.block([[du.real, dv.real[:, keep]],
+                         [du.imag[keep], dv.imag[np.ix_(keep, keep)]]]) + 0j
+
+
+def _newton_steady_state(f, u0, tol):
+    """Pseudo-transient continuation x <- x + (I/delta - J)^-1 F(x) with a
+    growing pseudo-time step delta; once the residual is below tolerance,
+    plain Newton steps polish the root for as long as they halve it."""
+    y = np.array(u0, dtype=np.complex128)
+    if not y.size:
+        return y
+    system = _RealSystem(f, y.size)
+    x = system.pack(y)
+    y = system.unpack(x)
+    fy = f(0.0, y)
+    residual = float(np.max(np.abs(fy)))
+    eye = np.eye(len(x))
+    delta, pseudo_time, iterations = _PTC_DELTA0, 0.0, 0
+    while iterations < _PTC_MAX_ITER:
+        iterations += 1
+        polish = residual <= tol * max(1.0, float(np.max(np.abs(y))))
+        shift = 0.0 if polish else 1.0 / delta
+        try:
+            step = np.linalg.solve(shift * eye - system.jacobian(f, y),
+                                   system.pack(fy)).real
+        except np.linalg.LinAlgError:
+            step = np.full(len(x), np.nan)   # fails like a non-finite trial
+        with np.errstate(all="ignore"):
+            x_new = x + step
+            y_new = system.unpack(x_new)
+            f_new = f(0.0, y_new)
+        finite = np.isfinite(x_new).all() and np.isfinite(f_new).all()
+        if polish and not (finite and np.max(np.abs(f_new)) < 0.5 * residual):
+            break
+        if not finite:
+            delta *= _PTC_SHRINK
+            continue
+        x, y, fy = x_new, y_new, f_new
+        residual = float(np.max(np.abs(fy)))
+        pseudo_time += delta
+        delta *= _PTC_GROW
+    jac = system.jacobian(f, y)
+    cert = SteadyCertificate(residual, iterations,
+                             float(np.max(np.linalg.eigvals(jac).real)))
+    if residual > tol * max(1.0, float(np.max(np.abs(y)))):
+        raise NonStationaryError(
+            f"no steady state after {iterations} pseudo-transient steps "
+            f"(residual {residual:.3e})",
+            residual=residual, time=pseudo_time, certificate=cert)
+    if cert.abscissa > _ABSCISSA_TOL * max(1.0, float(np.max(np.abs(jac)))):
+        raise NonStationaryError(
+            f"the root found (residual {residual:.3e}) is unstable: spectral "
+            f"abscissa {cert.abscissa:.3e} > 0",
+            residual=residual, time=pseudo_time, certificate=cert)
+    return y
+
+
 def steady_state(f, u0, cfg: StepperConfig | None = None, tol: float = 1e-8,
                  t_max: float = 1e5, window: float = 20.0):
-    """Integrate until the derivative norm is negligible; return the state.
+    """The state at which f vanishes and to which the dynamics relaxes.
 
-    Convergence means max|dy/dt| < tol * max(1, max|y|).  Windows grow
-    geometrically; hitting the time cap without convergence raises with the
-    final residual attached.
+    Convergence means max|dy/dt| < tol * max(1, max|y|).  With a Jacobian
+    (``f.jacobian(y)``, as on a bound derivative program) the root is found by
+    pseudo-transient continuation on the real system in which self-adjoint
+    averages stay real, polished by Newton, and certified: a root whose
+    real Jacobian has an eigenvalue with positive real part is unstable and
+    raises.  Without one, f is integrated with ``cfg`` over windows that
+    grow geometrically up to ``t_max``.  Either search failing raises
+    :class:`NonStationaryError` with the final residual attached.
     """
+    if hasattr(f, "jacobian"):
+        return _newton_steady_state(f, u0, tol)
     y = np.array(u0, dtype=np.complex128)
     t = 0.0
     w = float(window)

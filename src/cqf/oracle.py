@@ -161,8 +161,15 @@ class MEResult:
 
 
 def _lindblad_rhs(model: ModelDefinition, trunc: TruncationSpec, params: dict):
+    """The Lindblad generator as K rho + rho K_r + sum_n (g_n c_n) rho c_n',
+
+    with K = -iH - 1/2 sum g c'c and K_r = iH - 1/2 sum g c'c (K' for real
+    rates) folded once; rho need not be Hermitian (the delay evolution starts
+    from B rho_ss).
+    """
     H = to_matrix(model.hamiltonian, trunc, params)
-    channels = []
+    loss = np.zeros_like(H)
+    jumps = []
     for c, rate in zip(model.jumps, model.rates):
         if rate.averages():
             raise EvaluationError(
@@ -170,14 +177,16 @@ def _lindblad_rhs(model: ModelDefinition, trunc: TruncationSpec, params: dict):
             )
         g = complex(rate.evaluate(params))
         cm = to_matrix(c, trunc, params)
-        channels.append((g, cm, cm.conj().T, cm.conj().T @ cm))
+        loss += 0.5 * g * (cm.conj().T @ cm)
+        jumps.append((g * cm, cm.conj().T))
+    K, K_right = -1j * H - loss, 1j * H - loss
     dim = H.shape[0]
 
     def rhs(t, rho_flat):
         rho = rho_flat.reshape(dim, dim)
-        drho = -1j * (H @ rho - rho @ H)
-        for g, c, cd, cdc in channels:
-            drho += g * (c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc))
+        drho = K @ rho + rho @ K_right
+        for gc, cd in jumps:
+            drho += gc @ rho @ cd
         return drho.reshape(-1)
 
     return rhs, dim

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -409,6 +410,34 @@ def test_steady_correlation_integrates_at_the_resolved_tolerances(
     assert set(configs) == stepped
     for cfg in configs.values():
         assert (cfg.method, cfg.rtol, cfg.atol) == ("rk45", 1e-9, 1e-12)
+
+
+def test_loose_tolerances_give_the_same_steady_spectrum(laser_file):
+    """The steady state is a Newton root whatever the stepper tolerances."""
+    out_default = laser_file + ".default.csv"
+    out_loose = laser_file + ".loose.csv"
+    assert main(["spectrum", laser_file, "--out", out_default]) == 0
+    assert main(["spectrum", laser_file, "--rtol", "1e-5", "--atol", "1e-6",
+                 "--out", out_loose]) == 0
+    s = np.loadtxt(out_default, delimiter=",", skiprows=1)
+    loose = np.loadtxt(out_loose, delimiter=",", skiprows=1)
+    assert np.max(np.abs(s[:, 1] - loose[:, 1])) <= 1e-9 * s[:, 1].max()
+
+
+def test_optomech_steady_spectrum_takes_seconds(tmp_path):
+    """The phonons relax over ~1e4 time units; the Newton steady state does
+    not integrate through that."""
+    with open(os.path.join(os.path.dirname(LASER_FILE), "optomech.cqm"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "optomech.cqm"
+    path.write_text(text + "correlation a', a\n", encoding="utf-8")
+    out = str(tmp_path / "spectrum.csv")
+    start = time.perf_counter()
+    assert main(["spectrum", str(path), "--out", out]) == 0
+    assert time.perf_counter() - start < 20.0
+    s = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(s) == 301 and np.all(np.isfinite(s[:, 1]))
 
 
 @pytest.mark.parametrize("command", ["correlate", "spectrum"])

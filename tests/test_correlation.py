@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from cqf import (FILTER_PHASE, I_UNIT, EquationSet, StepperConfig,
-                 average_symbol, build_correlation_system, complete,
+from cqf import (FILTER_PHASE, I_UNIT, CorrelationSystem, EquationSet,
+                 StepperConfig, average_symbol, build_correlation_system, complete,
                  correlation_symbol, correlation_trajectory, decay_time,
                  initial_values, linearize_steady, identity, lower,
                  initial_state, meanfield_derive, qmul, spectrum_fourier,
                  spectrum_laplace, state_mapping, steady_state)
 from cqf.algebra import ScalarExpr
-from cqf.errors import AlgebraError, ClosureError, EvaluationError
+from cqf.correlation import _lower as lower_correlation
+from cqf.errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
+from cqf.meanfield import MeanfieldEquation
 from conftest import make_laser
 
 
@@ -212,13 +214,7 @@ def test_driven_cavity_correlation_has_a_drive_vector(optomech):
     closed = complete(meanfield_derive([qmul(b.dag(), b), qmul(a.dag(), a)],
                                        optomech.model, 2, None))
     prog = lower(closed)
-    # the phonon sector relaxes on a ~1e4 timescale; any reference state is
-    # fine for checking the coefficient collection, so integrate past the
-    # fast cavity transient only
-    from cqf import StepperConfig, integrate
-
-    yss = integrate(prog.bind(P), initial_state(prog.layout), (0.0, 200.0),
-                    StepperConfig.rk45(rtol=1e-8, atol=1e-10)).final_state
+    yss = steady_state(prog.bind(P), initial_state(prog.layout))
     state = state_mapping(prog.layout, yss)
 
     def val(*exprs):
@@ -280,6 +276,63 @@ def _assert_one_term_table(cs, state, params):
         assert np.max(np.abs(ydot[dyn] - expected)) < 1e-13 * scale
         assert np.all(ydot[const] == 0)
     return ls, const
+
+
+def _scattered(cs, state, params):
+    """M and d summed term by term from the folded term table."""
+    prog = lower_correlation(cs)
+    state_map = state_mapping(tuple(eq.lhs for eq in cs.base.equations), state)
+    n = prog.size
+    M = np.zeros((n, n), dtype=np.complex128)
+    d = np.zeros(n, dtype=np.complex128)
+    for term, c in zip(prog.terms, prog.coefficients(params, state_map)):
+        if term.state_factors:
+            M[term.equation, term.state_factors[0][0]] += c
+        else:
+            d[term.equation] += c
+    y0 = initial_values(cs, state_map)
+    dyn = [k for k, lhs in enumerate(prog.layout) if lhs.ops]
+    const = [k for k, lhs in enumerate(prog.layout) if not lhs.ops]
+    return M[np.ix_(dyn, dyn)], d[dyn] + M[np.ix_(dyn, const)] @ y0[const]
+
+
+def _driven_optomech(optomech):
+    a, b = optomech.a, optomech.b
+    closed = complete(meanfield_derive([qmul(b.dag(), b), qmul(a.dag(), a)],
+                                       optomech.model, 2, None))
+    return closed, build_correlation_system(a.dag(), a, closed, steady=True)
+
+
+@pytest.mark.parametrize("order", [*range(2, 9), "optomech"])
+def test_linearization_is_the_scattered_term_table(laser, optomech, order):
+    """M and d from the Jacobian agree with a term-by-term scatter."""
+    if order == "optomech":
+        closed, cs = _driven_optomech(optomech)
+        params = optomech.params
+    else:
+        closed = complete(meanfield_derive([qmul(laser.ad, laser.a)],
+                                           laser.model, order, FILTER_PHASE))
+        cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+        params = laser.params
+    prog = lower(closed)
+    yss = steady_state(prog.bind(params), initial_state(prog.layout))
+    ls = linearize_steady(cs, yss, params)
+    M, drive = _scattered(cs, yss, params)
+    assert np.max(np.abs(ls.matrix - M)) <= 1e-15 * np.max(np.abs(M))
+    assert np.max(np.abs(ls.drive - drive)) <= 1e-15 * max(1.0, np.max(np.abs(drive)))
+
+
+def test_nonlinear_delay_equation_is_an_inconsistency(laser, laser_steady):
+    closed, prog, yss = laser_steady
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    first, second = (ScalarExpr.from_average(eq.lhs) for eq in cs.equations[:2])
+    broken = CorrelationSystem(
+        cs.a_ops, cs.b_ops,
+        (MeanfieldEquation(cs.equations[0].lhs, first * second),
+         *cs.equations[1:]),
+        cs.steady, cs.base, cs.constants)
+    with pytest.raises(ConsistencyError):
+        linearize_steady(broken, yss, laser.params)
 
 
 def test_linearization_reports_unbound_inputs(laser, laser_steady):

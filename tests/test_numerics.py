@@ -8,12 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cqf import (FILTER_PHASE, StepperConfig, average_symbol, complete,
-                 filter_by_name, initial_state, integrate, lower,
-                 meanfield_derive, qmul, state_mapping, steady_state)
+from cqf import (FILTER_PHASE, ModelDefinition, StepperConfig, average_symbol,
+                 build_correlation_system, complete, destroy, filter_by_name,
+                 fock, initial_state, integrate, lower, meanfield_derive,
+                 parameters, product, qmul, state_mapping, steady_state)
 from cqf.cli import parse_model
+from cqf.correlation import _lower as lower_correlation
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
-from cqf.numerics.steppers import _TABLEAUX
+from cqf.numerics.steppers import _TABLEAUX, _RealSystem, _hermite
+from conftest import make_tavis
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -105,6 +108,22 @@ def _optomech(laser):
     return complete(eqs), dict(opts.param_values)
 
 
+def _three_level(_):
+    with open(os.path.join(ROOT, "models", "three_level.cqm"), encoding="utf-8") as fh:
+        parsed = parse_model(fh.read())
+    opts = parsed.options
+    eqs = meanfield_derive(opts.track, parsed.model, opts.order,
+                           filter_by_name(opts.filter_name))
+    return complete(eqs), dict(opts.param_values)
+
+
+def _tavis5(_):
+    tavis = make_tavis(5)
+    eqs = meanfield_derive([tavis.s(2, 2, k) for k in range(5)], tavis.model,
+                           2, FILTER_PHASE)
+    return complete(eqs), tavis.params
+
+
 def _laser_with_zero_row(laser):
     # the phase filter kills every term of d<a>/dt: row 0 is empty
     eqs = meanfield_derive([laser.a, qmul(laser.ad, laser.a)], laser.model, 2,
@@ -131,6 +150,98 @@ def test_program_matches_symbolic_evaluation(laser, build):
             if eq.lhs.conjugated:
                 ref = np.conj(ref)
             assert abs(out[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _correlation_program(laser):
+    """The order-4 laser's delay program, bound at a random reference state."""
+    closed, params = _laser_order(4)(laser)
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    rng = np.random.default_rng(5)
+    constants = {sym: complex(*rng.normal(size=2)) for sym in cs.constants}
+    return lower_correlation(cs).bind(params, constants)
+
+
+def _bound(build):
+    def bind(laser):
+        closed, params = build(laser)
+        return lower(closed).bind(params)
+    return bind
+
+
+@pytest.mark.parametrize(
+    "build", [*(_bound(_laser_order(k)) for k in range(2, 9)), _bound(_optomech),
+              _bound(_three_level), _bound(_tavis5), _correlation_program],
+    ids=[*(f"laser-o{k}" for k in range(2, 9)), "optomech", "three-level",
+         "tavis5", "laser-correlation"])
+def test_jacobian_matches_central_differences(laser, build):
+    """df/dRe y = J + Jc and df/dIm y = i (J - Jc) for the Wirtinger pair."""
+    f = build(laser)
+    n = f.size
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for _ in range(2):
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dy, dconj = f.jacobian(y)
+        assert dy.shape == dconj.shape == (n, n)
+        scale = max(1.0, np.max(np.abs(dy)), np.max(np.abs(dconj)))
+        for m in range(n):
+            e = np.zeros(n)
+            e[m] = h
+            d_re = (f(0.0, y + e) - f(0.0, y - e)) / (2 * h)
+            d_im = (f(0.0, y + 1j * e) - f(0.0, y - 1j * e)) / (2 * h)
+            assert np.max(np.abs(d_re - (dy[:, m] + dconj[:, m]))) < 1e-7 * scale
+            assert np.max(np.abs(d_im - 1j * (dy[:, m] - dconj[:, m]))) < 1e-7 * scale
+
+
+def _abscissa(f, y):
+    system = _RealSystem(f, len(y))
+    return float(np.max(np.linalg.eigvals(system.jacobian(f, y)).real))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_laser_steady_state_is_a_certified_root(laser, order):
+    """The Newton root is polished to rounding, stable, and the state a
+    tight integration relaxes to."""
+    closed, params = _laser_order(order)(laser)
+    prog = lower(closed)
+    f = prog.bind(params)
+    y = steady_state(f, initial_state(prog.layout))
+    assert np.max(np.abs(f(0.0, y))) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    assert _abscissa(f, y) < 0
+    relaxed = integrate(f, initial_state(prog.layout), (0.0, 400.0),
+                        StepperConfig.rk45(rtol=1e-12, atol=1e-14)).final_state
+    assert np.max(np.abs(y - relaxed)) <= 1e-10 * np.max(np.abs(relaxed))
+
+
+def test_optomech_steady_state_is_certified(laser):
+    """From 4e6 phonons, the cooled state the phonons reach only after
+    ~1e4 time units, in a few pseudo-transient steps."""
+    with open(os.path.join(ROOT, "models", "optomech.cqm"), encoding="utf-8") as fh:
+        parsed = parse_model(fh.read())
+    closed, params = _optomech(laser)
+    prog = lower(closed)
+    f = prog.bind(params)
+    y = steady_state(f, initial_state(prog.layout, parsed.options.initial))
+    b = dict(parsed.model.operators)["b"]
+    phonons = state_mapping(prog.layout, y)[_sym(b.dag(), b)]
+    assert phonons == pytest.approx(10.870294, rel=1e-6)
+    assert np.max(np.abs(f(0.0, y))) <= 1e-9 * np.max(np.abs(y))
+    assert -1e-3 < _abscissa(f, y) < 0
+
+
+def test_incoherent_gain_without_loss_has_no_steady_state():
+    """d<a'a>/dt = nu (<a'a> + 1) has only the unstable root <a'a> = -1."""
+    h = product(fock("c"))
+    a = destroy(h, "a")
+    delta, nu = parameters("Δ ν")
+    model = ModelDefinition.create(h, delta * (a.dag() * a), jumps=(a.dag(),),
+                                   rates=(nu,))
+    prog = lower(complete(meanfield_derive([qmul(a.dag(), a)], model, 2)))
+    with pytest.raises(NonStationaryError, match="unstable") as info:
+        steady_state(prog.bind({"Δ": 0.7, "ν": 1.0}), initial_state(prog.layout))
+    cert = info.value.certificate
+    assert cert.abscissa == pytest.approx(1.0)
+    assert cert.residual <= 1e-12 and cert.iterations > 0
 
 
 def test_bound_program_is_shared_across_threads(laser):
@@ -197,6 +308,31 @@ def test_saveat_sampling_hits_requested_times():
                      StepperConfig.rk45(), saveat=times)
     assert np.allclose(traj.times, times)
     assert np.allclose(traj.states[:, 0], np.exp(-times), atol=1e-7)
+
+
+def test_saveat_rows_within_a_step_are_the_hermite_interpolant():
+    """Many requested times per step: rows at step times are the step
+    states, rows between them the cubic Hermite interpolant."""
+    def f(t, y):
+        return np.array([1j * y[0], -0.5 * y[1]])
+
+    y0 = np.array([1.0 + 0j, 2.0 + 0j])
+    cfg = StepperConfig.rk45(rtol=1e-5, atol=1e-7)
+    steps = integrate(f, y0, (0.0, 3.0), cfg)
+    assert len(steps) > 3
+    fine = np.linspace(0.0, 3.0, 601)
+    times = np.union1d(fine, steps.times)
+    traj = integrate(f, y0, (0.0, 3.0), cfg, saveat=times)
+    at_steps = np.searchsorted(times, steps.times)
+    assert np.array_equal(traj.states[at_steps], steps.states)
+    for k in (1, len(steps) // 2, len(steps) - 1):
+        t0, t1 = steps.times[k - 1], steps.times[k]
+        y_0, y_1 = steps.states[k - 1], steps.states[k]
+        inside = (times > t0) & (times < t1)
+        assert inside.sum() > 1
+        for t, row in zip(times[inside], traj.states[inside]):
+            expected = _hermite(t, t0, y_0, f(t0, y_0), t1, y_1, f(t1, y_1))
+            assert np.max(np.abs(row - expected)) < 1e-15
 
 
 @pytest.mark.parametrize("saveat, bad", [([-1.0, 0.0, 5.0, 20.0], "-1"),

@@ -9,6 +9,7 @@ from cqf import (ModelDefinition, StepperConfig, TruncationSpec, adjoint,
                  destroy, fock, ground_state, identity, me_evolve, me_steady,
                  nlevel, parameters, product, qmul, to_matrix, transition)
 from cqf.errors import EvaluationError
+from cqf.oracle import _lindblad_rhs
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,24 @@ def test_photon_decay_is_exponential():
     n = res.expect(a.dag() * a).real
     assert np.max(np.abs(n - np.exp(-times))) < 1e-7
     assert not res.warnings
+
+
+def test_generator_is_the_lindblad_form_on_non_hermitian_states(laser):
+    """The folded generator against -i[H, rho] + sum g (c rho c' - {c'c, rho}/2),
+    on a state that is not Hermitian, as B rho_ss in a delay evolution."""
+    trunc = TruncationSpec.uniform(laser.space, 4)
+    rhs, dim = _lindblad_rhs(laser.model, trunc, laser.params)
+    H = to_matrix(laser.model.hamiltonian, trunc, laser.params)
+    rng = np.random.default_rng(2)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    expected = -1j * (H @ rho - rho @ H)
+    for c, rate in zip(laser.model.jumps, laser.model.rates):
+        g = complex(rate.evaluate(laser.params))
+        cm = to_matrix(c, trunc)
+        cdc = cm.conj().T @ cm
+        expected += g * (cm @ rho @ cm.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
+    got = rhs(0.0, rho.reshape(-1)).reshape(dim, dim)
+    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 def test_trace_and_hermiticity_preserved(laser):
