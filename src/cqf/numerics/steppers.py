@@ -299,8 +299,8 @@ class _RealSystem:
     def __init__(self, f, n):
         layout = getattr(getattr(f, "program", None), "layout", None)
         self.n = n
-        self.complex = np.array([not s.self_adjoint for s in layout], dtype=bool) \
-            if layout is not None else np.ones(n, dtype=bool)
+        self.complex = (np.ones(n, dtype=bool) if layout is None else
+                        np.array([not s.self_adjoint for s in layout], dtype=bool))
 
     def pack(self, y):
         return np.concatenate((y.real, y.imag[self.complex]))
