@@ -380,7 +380,7 @@ def parse_model(text: str) -> ParsedModel:
                 if not isinstance(value, ScalarExpr) or not value.is_number:
                     raise DslError("parameter values must be numbers",
                                    head.line, head.column)
-                options.param_values[name] = _to_float(value)
+                options.param_values[name] = _to_float(value, head)
             _expect_line_end(p)
 
         elif directive == "hamiltonian":
@@ -457,7 +457,7 @@ def parse_model(text: str) -> ParsedModel:
                 omega = None
                 if fn == "temperature":
                     p.expect(",")
-                    omega = _to_float(p.parse_expr())
+                    omega = _to_float(p.parse_expr(), head)
                 p.expect(")")
                 _expect_line_end(p)
                 options.observables.append(
@@ -484,11 +484,11 @@ def parse_model(text: str) -> ParsedModel:
                 sym = average_symbol(value.monomial_ops())
             except Exception as err:
                 raise DslError(str(err), head.line, head.column) from None
-            options.initial[sym] = _to_float(number)
+            options.initial[sym] = _to_float(number, head)
 
         elif directive == "tspan":
-            t0 = _to_float(ScalarExpr.number(_signed_number(p)))
-            t1 = _to_float(ScalarExpr.number(_signed_number(p)))
+            t0 = float(_signed_number(p))
+            t1 = float(_signed_number(p))
             _expect_line_end(p)
             options.tspan = (t0, t1)
 
@@ -500,7 +500,7 @@ def parse_model(text: str) -> ParsedModel:
             _expect_line_end(p)
 
         elif directive in ("dt", "rtol", "atol"):
-            value = _to_float(ScalarExpr.number(_signed_number(p)))
+            value = float(_signed_number(p))
             _expect_line_end(p)
             setattr(options, directive, value)
 
@@ -590,13 +590,13 @@ def _expect_line_end(p: _ExprParser):
                        tok.line, tok.column)
 
 
-def _to_float(value) -> float:
-    if isinstance(value, ScalarExpr):
+def _to_float(value, at: Token) -> float:
+    """A real constant expression as a float, else an error at ``at``."""
+    if isinstance(value, ScalarExpr) and value.is_number:
         c = value.constant_value()
-        if c.im:
-            raise DslError("expected a real number", 0, 0)
-        return float(c.re)
-    return float(value)
+        if not c.im:
+            return float(c.re)
+    raise DslError("expected a real number", at.line, at.column)
 
 
 # -- pretty printing ---------------------------------------------------------

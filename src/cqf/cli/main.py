@@ -142,11 +142,10 @@ def _resolve_params(parsed: ParsedModel, args) -> dict:
     return values
 
 
-def _closed_equations(parsed: ParsedModel, args, quiet=False):
+def _closed_equations(parsed: ParsedModel, args, progress=None):
     if getattr(args, "archive", None) and args.command != "derive":
         eqs = archive_mod.load(args.archive)
-        if not quiet:
-            print(f"loaded {len(eqs)} equations from {args.archive}")
+        print(f"loaded {len(eqs)} equations from {args.archive}")
         return eqs
     order = _resolve_order(parsed, args)
     filt = _resolve_filter(parsed, args)
@@ -154,11 +153,10 @@ def _closed_equations(parsed: ParsedModel, args, quiet=False):
     if not track:
         raise CqfError("model file needs a 'track' line naming the seed operators")
     eqs = meanfield_derive(track, parsed.model, order, filt)
-    closed = complete(eqs)
-    if not quiet:
-        print(f"derived {len(closed)} equations "
-              f"(order {order.uniform or list(order.per_subspace)}, "
-              f"filter {parsed.options.filter_name if getattr(args, 'filter_name', None) is None else args.filter_name})")
+    closed = complete(eqs, progress=progress)
+    print(f"derived {len(closed)} equations "
+          f"(order {order.uniform or list(order.per_subspace)}, "
+          f"filter {args.filter_name or parsed.options.filter_name})")
     return closed
 
 
@@ -218,24 +216,11 @@ def _oracle_setup(parsed: ParsedModel, args):
 
 
 def cmd_derive(args) -> int:
-    parsed = _parse_model_file(args.model)
-    progress_every = 200
-
-    order = _resolve_order(parsed, args)
-    filt = _resolve_filter(parsed, args)
-    if not parsed.options.track:
-        raise CqfError("model file needs a 'track' line naming the seed operators")
-    eqs = meanfield_derive(parsed.options.track, parsed.model, order, filt)
-
-    count_holder = [0]
-
     def progress(n):
-        count_holder[0] = n
-        if n % progress_every == 0:
+        if n % 200 == 0:
             print(f"  ... {n} equations")
 
-    closed = complete(eqs, progress=progress)
-    print(f"derived {len(closed)} equations")
+    closed = _closed_equations(_parse_model_file(args.model), args, progress)
     archive_path = args.archive or (args.model + ".eqs.json")
     archive_mod.save(closed, archive_path)
     print(f"archive written to {archive_path}")
@@ -313,8 +298,9 @@ def cmd_solve(args) -> int:
 def _correlation_inputs(parsed: ParsedModel, args, params):
     """Correlation system, reference state, operators and delay stepper.
 
-    The steady state and the delay trajectory run rk45 at the resolved
-    tolerances; only a co-evolved reference time uses the model's stepper.
+    The steady state is a Newton root and takes no stepper; the delay
+    trajectory runs rk45 at the resolved tolerances, and only a co-evolved
+    reference time uses the model's stepper.
     """
     if parsed.options.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
@@ -336,7 +322,7 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
     bound = prog.bind(params)
     u0 = initial_state(prog.layout, parsed.options.initial)
     if steady:
-        state = steady_state(bound, u0, adaptive)
+        state = steady_state(bound, u0)
     else:
         state = integrate(bound, u0, tspan, cfg).final_state
     cs = build_correlation_system(a_expr, b_expr, closed, steady=steady)
@@ -368,7 +354,7 @@ def cmd_correlate(args) -> int:
     if oracle:
         trunc, rho0 = oracle
         omegas = np.linspace(*DEFAULT_OMEGA)
-        _, _, corr_me, taus_me = me_spectrum(
+        _, _, corr_me, _ = me_spectrum(
             parsed.model, trunc, a_expr, b_expr, omegas, params=params,
             rho0=rho0, tau_max=tau_max, tau_points=args.tau_points)
         header.extend(["ME:ReC", "ME:ImC"])

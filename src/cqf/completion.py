@@ -4,7 +4,9 @@ Every average appearing on a right-hand side needs an equation of its own;
 completion keeps deriving the missing ones until the system is closed.
 Termination is guaranteed because expansion bounds every surviving average
 by the maximum order, and only finitely many canonical products of bounded
-length exist over a model's operator alphabet.
+length exist over a model's operator alphabet.  The same breadth-first loop,
+:func:`close`, also closes the delay systems of two-time correlations, with
+their own derive step and their own rule for which averages need equations.
 
 Filter functions exclude averages from the completed system (their
 occurrences are replaced by zero during expansion).  The phase-invariant
@@ -20,7 +22,7 @@ from typing import Callable
 from .algebra.averages import AverageSymbol
 from .cumulant import OrderSpec, expansion_memo
 from .errors import AlgebraError, CapacityError
-from .meanfield import EquationSet, derive_equation, meanfield_derive
+from .meanfield import EquationSet, MeanfieldEquation, derive_equation, meanfield_derive
 
 DEFAULT_EQUATION_CAP = 100_000
 
@@ -55,23 +57,49 @@ def filter_by_name(name: str) -> FilterFunction:
     raise AlgebraError(f"unknown filter preset {name!r}")
 
 
-def _kept(filt, family: AverageSymbol) -> bool:
-    return True if filt is None else filt.keep(family)
+def _without_equation(equations, known, needs) -> set[AverageSymbol]:
+    """Families on the right-hand sides that ``needs`` asks an equation for
+    and that ``known`` has none for."""
+    return {fam for eq in equations for fam in eq.rhs.average_families()
+            if fam not in known and needs(fam)}
 
 
-def _rhs_families(eq) -> set[AverageSymbol]:
-    return {s.family for s in eq.rhs.averages() if not s.is_correlation}
+def _needs_equation(filt) -> Callable[[AverageSymbol], bool]:
+    """The moment-equation rule: every kept single-time average."""
+    return lambda fam: not fam.is_correlation and (filt is None or filt.keep(fam))
 
 
 def missing_averages(eqs: EquationSet) -> set[AverageSymbol]:
     """Representatives occurring on some rhs without an equation of their own."""
-    have = set(eqs.lhs_families())
-    missing = set()
-    for eq in eqs:
-        for fam in _rhs_families(eq):
-            if fam not in have and _kept(eqs.filter, fam):
-                missing.add(fam)
-    return missing
+    return _without_equation(eqs, set(eqs.lhs_families()),
+                             _needs_equation(eqs.filter))
+
+
+def close(equations, derive: Callable[[AverageSymbol], MeanfieldEquation],
+          needs: Callable[[AverageSymbol], bool],
+          max_equations: int = DEFAULT_EQUATION_CAP,
+          progress: Callable[[int], None] | None = None) -> list[MeanfieldEquation]:
+    """Append ``derive(family)`` for every family that ``needs`` an equation
+    and has none, breadth-first in sorted rounds, until none is missing."""
+    equations = list(equations)
+    known = {eq.lhs.family for eq in equations}
+    queue = sorted(_without_equation(equations, known, needs))
+    while queue:
+        next_round: set[AverageSymbol] = set()
+        for family in queue:
+            if len(equations) >= max_equations:
+                raise CapacityError(
+                    f"completion exceeded {max_equations} equations; "
+                    "raise max_equations if this is intended"
+                )
+            eq = derive(family)
+            equations.append(eq)
+            known.add(family)
+            if progress is not None:
+                progress(len(equations))
+            next_round |= _without_equation((eq,), known, needs)
+        queue = sorted(next_round - known)
+    return equations
 
 
 @expansion_memo()
@@ -99,26 +127,8 @@ def complete(eqs: EquationSet, order=None, filt="inherit",
                  for eq in eqs]
         eqs = meanfield_derive(seeds, eqs.model, spec, active_filter)
 
-    equations = list(eqs.equations)
-    known = set(eqs.lhs_families())
-    queue = sorted(missing_averages(eqs))
-    while queue:
-        next_round: set[AverageSymbol] = set()
-        for family in queue:
-            if family in known:
-                continue
-            if len(equations) >= max_equations:
-                raise CapacityError(
-                    f"completion exceeded {max_equations} equations; "
-                    "raise max_equations if this is intended"
-                )
-            eq = derive_equation(family.ops, eqs.model, spec, active_filter)
-            equations.append(eq)
-            known.add(family)
-            if progress is not None:
-                progress(len(equations))
-            for fam in _rhs_families(eq):
-                if fam not in known and _kept(active_filter, fam):
-                    next_round.add(fam)
-        queue = sorted(f for f in next_round if f not in known)
+    equations = close(
+        eqs.equations,
+        lambda family: derive_equation(family.ops, eqs.model, spec, active_filter),
+        _needs_equation(active_filter), max_equations, progress)
     return EquationSet(tuple(equations), eqs.model, spec, active_filter)

@@ -30,6 +30,7 @@ from .algebra.averages import AverageSymbol, correlation_symbol, family_values
 from .algebra.qexpr import QExpr, append_frozen, mul_sequences
 from .algebra.render import render_average
 from .algebra.scalars import ScalarExpr
+from .completion import close, missing_averages
 from .cumulant import expand_scalar, expansion_memo
 from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from .meanfield import EquationSet, MeanfieldEquation, average, derive_equation, qle_rhs
@@ -95,12 +96,10 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
     """Derive and close the delay equations for <A(t+tau) B(t)>.
 
     ``eqs`` must be a closed equation set for the underlying model; its
-    order and filter govern the expansion here as well.
+    order and filter govern the expansion here as well.  Correlation
+    variables always get equations; plain averages get them only when
+    co-evolved, and are otherwise the steady constants.
     """
-    a_ops = A.monomial_ops()
-    b_ops = B.monomial_ops()
-    from .completion import missing_averages
-
     if eqs.archived:
         raise AlgebraError(
             "correlation systems need the model's equation of motion; "
@@ -109,32 +108,16 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
     if missing_averages(eqs):
         raise ClosureError("the underlying equation set is not closed")
 
-    seed = correlation_symbol(a_ops, b_ops)
-    equations: list[MeanfieldEquation] = []
-    known: set[AverageSymbol] = set()
-    constants: set[AverageSymbol] = set()
-    queue = [seed]
-    while queue:
-        next_round: set[AverageSymbol] = set()
-        for sym in queue:
-            if sym in known:
-                continue
-            known.add(sym)
-            if sym.is_correlation:
-                eq = _corr_equation(sym, eqs)
-            else:
-                eq = derive_equation(sym.ops, eqs.model, eqs.order, eqs.filter)
-            equations.append(eq)
-            for occ in eq.rhs.averages():
-                fam = occ.family
-                if fam.is_correlation:
-                    if fam not in known:
-                        next_round.add(fam)
-                elif steady:
-                    constants.add(fam)
-                elif fam not in known:
-                    next_round.add(fam)
-        queue = sorted(next_round)
+    def derive(sym: AverageSymbol) -> MeanfieldEquation:
+        if sym.is_correlation:
+            return _corr_equation(sym, eqs)
+        return derive_equation(sym.ops, eqs.model, eqs.order, eqs.filter)
+
+    a_ops, b_ops = A.monomial_ops(), B.monomial_ops()
+    equations = close([derive(correlation_symbol(a_ops, b_ops))], derive,
+                      lambda fam: fam.is_correlation or not steady)
+    constants = {fam for eq in equations for fam in eq.rhs.average_families()
+                 if not fam.is_correlation} if steady else ()
     return CorrelationSystem(a_ops, b_ops, tuple(equations), steady, eqs,
                              tuple(sorted(constants)))
 
@@ -259,16 +242,13 @@ def spectrum_laplace(ls: LinearSystem, omegas) -> SpectrumResult:
 def correlation_trajectory(cs: CorrelationSystem, state, tauspan,
                            cfg: StepperConfig | None = None,
                            params: dict | None = None,
-                           y0: np.ndarray | None = None,
                            saveat=None) -> Trajectory:
     """Integrate the delay equations; first column is the primary variable."""
     state_map = _as_state_map(cs, state)
     prog = _lower(cs)
     bound = prog.bind(params or {}, state_map)
-    if y0 is None:
-        y0 = initial_values(cs, state_map)
-    return integrate(bound, y0, tauspan, cfg, saveat=saveat,
-                     layout=prog.layout)
+    return integrate(bound, initial_values(cs, state_map), tauspan, cfg,
+                     saveat=saveat, layout=prog.layout)
 
 
 def spectrum_fourier(taus, corr, omegas) -> SpectrumResult:
@@ -279,16 +259,16 @@ def spectrum_fourier(taus, corr, omegas) -> SpectrumResult:
     return SpectrumResult(omegas, fourier_spectrum(taus, corr, omegas))
 
 
-def decay_time(ls: LinearSystem, fold: float = 12.0,
-               bounds=(10.0, 2000.0)) -> float:
+def decay_time(ls: LinearSystem) -> float:
     """A delay window long enough for correlations to die out.
 
-    Taken from the slowest eigenvalue of the steady-state matrix; used as
-    the default tau extent when integrating correlation trajectories.
+    Twelve decay times of the slowest eigenvalue of the steady-state matrix,
+    clipped to [10, 2000]; used as the default tau extent when integrating
+    correlation trajectories.
     """
     eigs = np.linalg.eigvals(ls.matrix)
     rates = -eigs.real
     positive = rates[rates > 1e-12]
     if len(positive) == 0:
-        return bounds[1]
-    return float(min(max(fold / positive.min(), bounds[0]), bounds[1]))
+        return 2000.0
+    return float(min(max(12.0 / positive.min(), 10.0), 2000.0))

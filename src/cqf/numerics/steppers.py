@@ -128,15 +128,15 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
 class _Recorder:
     """Collects output rows, either at solver steps or at requested times.
 
-    A row is ``observe(state)``, the state itself by default.  Rows at
+    A row is ``observe @ state``, the state itself by default.  Rows at
     requested times go straight into one preallocated array, all the times
     within one step interpolated at once; the number of solver steps is not
     known in advance, so those rows are collected in a list.
     """
 
     def __init__(self, saveat, t0, t1, y0, observe=None):
-        self.observe = observe
-        first = np.array(y0 if observe is None else observe(y0))
+        self.observe = None if observe is None else np.asarray(observe)
+        first = self.row(y0)
         if saveat is None:
             self.saveat = None
             self.times = [t0]
@@ -153,16 +153,19 @@ class _Recorder:
                 f"saveat time {self.saveat[outside.argmax()]:.6g} lies outside "
                 f"the integration span [{t0:.6g}, {t1:.6g}]")
         self.rows = np.empty((len(self.saveat),) + first.shape, dtype=first.dtype)
+        self.column = (-1,) + (1,) * first.ndim     # times against row axes
         # requested times as floats, and the first not yet filled (or inf)
         self.pending = self.saveat.tolist() + [np.inf]
         self.cursor = int(np.searchsorted(self.saveat, t0, side="right"))
         self.rows[:self.cursor] = first
 
+    def row(self, y):
+        return np.array(y if self.observe is None else self.observe @ y)
+
     def on_step(self, t_prev, y_prev, f_prev, t_new, y_new, f_new):
         if self.saveat is None:
             self.times.append(t_new)
-            self.rows.append(np.array(y_new if self.observe is None
-                                      else self.observe(y_new)))
+            self.rows.append(self.row(y_new))
             return
         reach = t_new + 1e-12 * max(1.0, abs(t_new))
         pending = self.pending
@@ -176,22 +179,20 @@ class _Recorder:
         while pending[end] <= reach:
             end += 1
         self.cursor = end
-        if inside > start and self.observe is None:
+        if self.observe is not None:
+            # observe is linear, so it maps the interpolant's data instead
+            # of every interpolated state
+            y_prev, f_prev, y_new, f_new = (
+                self.observe @ v for v in (y_prev, f_prev, y_new, f_new))
+        if inside > start:
             # one broadcast call for all the times in the step; a lone time
             # stays a float, which is cheaper than a 1 x 1 array
             times = (pending[start] if inside == start + 1
-                     else self.saveat[start:inside, None])
+                     else self.saveat[start:inside].reshape(self.column))
             self.rows[start:inside] = _hermite(times, t_prev, y_prev, f_prev,
                                                t_new, y_new, f_new)
-        elif inside > start:
-            # observed rows are made one state at a time, so that no more
-            # than one interpolated state is held at once
-            self.rows[start:inside] = [
-                self.observe(_hermite(t, t_prev, y_prev, f_prev, t_new, y_new, f_new))
-                for t in pending[start:inside]]
         if end > inside:
-            self.rows[inside:end] = y_new if self.observe is None else \
-                self.observe(y_new)
+            self.rows[inside:end] = y_new
 
     def finish(self, layout) -> Trajectory:
         if self.saveat is None:
@@ -207,10 +208,11 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     ``f`` is any callable (a bound derivative program or a plain function).
     The trajectory is sampled at accepted solver steps, or at ``saveat``
     times via Hermite interpolation; a ``saveat`` time outside ``tspan`` is
-    an error.  With ``observe``, each sample stores ``observe(state)``
-    instead of the state, as it is produced, so the states themselves are
-    never kept.  Non-finite states, a step too small to advance t, and
-    step-budget exhaustion raise with the last good time attached.
+    an error.  With ``observe``, an array whose last axis runs over the
+    state, each sample stores ``observe @ state`` instead of the state, so
+    the states themselves are never kept.  Non-finite states, a step too
+    small to advance t, and step-budget exhaustion raise with the last good
+    time attached.
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
@@ -374,8 +376,7 @@ def _newton_steady_state(f, u0, tol):
     return y
 
 
-def steady_state(f, u0, cfg: StepperConfig | None = None, tol: float = 1e-8,
-                 t_max: float = 1e5, window: float = 20.0):
+def steady_state(f, u0, tol: float = 1e-8, t_max: float = 1e5):
     """The state at which f vanishes and to which the dynamics relaxes.
 
     Convergence means max|dy/dt| < tol * max(1, max|y|).  With a Jacobian
@@ -383,19 +384,20 @@ def steady_state(f, u0, cfg: StepperConfig | None = None, tol: float = 1e-8,
     pseudo-transient continuation on the real system in which self-adjoint
     averages stay real, polished by Newton, and certified: a root whose
     real Jacobian has an eigenvalue with positive real part is unstable and
-    raises.  Without one, f is integrated with ``cfg`` over windows that
-    grow geometrically up to ``t_max``.  Either search failing raises
-    :class:`NonStationaryError` with the final residual attached.
+    raises.  Without one, f is integrated by the default rk45 over windows
+    that start at 20 time units and grow 1.5x each up to ``t_max``.  Either
+    search failing raises :class:`NonStationaryError` with the final
+    residual attached.
     """
     if hasattr(f, "jacobian"):
         return _newton_steady_state(f, u0, tol)
     y = np.array(u0, dtype=np.complex128)
     t = 0.0
-    w = float(window)
+    w = 20.0
     residual = float("inf")
     while t < t_max:
         t_end = min(t + w, t_max)
-        traj = integrate(f, y, (t, t_end), cfg, saveat=[t_end])
+        traj = integrate(f, y, (t, t_end), saveat=[t_end])
         y = traj.final_state
         t = t_end
         residual = float(np.max(np.abs(f(t, y)))) if y.size else 0.0

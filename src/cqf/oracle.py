@@ -22,7 +22,7 @@ from .algebra.qexpr import QExpr
 from .algebra.spaces import FOCK, ProductSpace
 from .errors import AlgebraError, EvaluationError
 from .meanfield import ModelDefinition
-from .numerics.steppers import StepperConfig, integrate, steady_state
+from .numerics.steppers import integrate, steady_state
 
 LEAK_THRESHOLD = 1e-4       # top-Fock-level population that flags truncation
 
@@ -213,8 +213,7 @@ def _top_level_projectors(space: ProductSpace, trunc: TruncationSpec):
 
 
 def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
-              tspan, cfg: StepperConfig | None = None,
-              params: dict | None = None, saveat=None) -> MEResult:
+              tspan, params: dict | None = None, saveat=None) -> MEResult:
     """Evolve the Lindblad master equation; attach truncation-leak warnings.
 
     Population above the leak threshold in any top Fock level means the
@@ -223,7 +222,7 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
     params = params or {}
     rhs, dim = _lindblad_rhs(model, trunc, params)
     traj = integrate(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1),
-                     tspan, cfg, saveat=saveat)
+                     tspan, saveat=saveat)
     rhos = [row.reshape(dim, dim) for row in traj.states]
     result = MEResult(traj.times, rhos, model.space, trunc, params)
     for name, proj in _top_level_projectors(model.space, trunc):
@@ -236,23 +235,21 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
 
 
 def me_steady(model: ModelDefinition, trunc: TruncationSpec,
-              rho0: np.ndarray | None = None, params: dict | None = None,
-              cfg: StepperConfig | None = None, tol: float = 1e-8,
-              t_max: float = 1e5) -> np.ndarray:
+              rho0: np.ndarray | None = None,
+              params: dict | None = None) -> np.ndarray:
     """Steady density matrix by integrating until the generator residual vanishes."""
     params = params or {}
     rhs, dim = _lindblad_rhs(model, trunc, params)
     if rho0 is None:
         rho0 = ground_state(model.space, trunc)
-    flat = steady_state(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1),
-                        cfg, tol=tol, t_max=t_max)
+    flat = steady_state(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1))
     return flat.reshape(dim, dim)
 
 
 def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
                 B: QExpr, omegas, params: dict | None = None,
                 rho0: np.ndarray | None = None, tau_max: float = 60.0,
-                tau_points: int = 4096, cfg: StepperConfig | None = None):
+                tau_points: int = 4096):
     """Power spectrum via the regression theorem and a Fourier quadrature.
 
     The steady state is reached first; then B rho_ss is evolved under the
@@ -260,14 +257,14 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     Returns (omegas, S, C_tau, taus).
     """
     params = params or {}
-    rho_ss = me_steady(model, trunc, rho0=rho0, params=params, cfg=cfg)
-    rhs, dim = _lindblad_rhs(model, trunc, params)
+    rho_ss = me_steady(model, trunc, rho0=rho0, params=params)
+    rhs, _ = _lindblad_rhs(model, trunc, params)
     Bm = to_matrix(B, trunc, params)
     Am = to_matrix(A, trunc, params)
     taus = np.linspace(0.0, tau_max, tau_points)
-    corr = integrate(rhs, (Bm @ rho_ss).reshape(-1), (0.0, tau_max), cfg,
-                     saveat=taus,
-                     observe=lambda row: expect(Am, row.reshape(dim, dim))).states
+    # tr(A rho) = sum_ij A_ji rho_ij, a dot product with the flattened rho
+    corr = integrate(rhs, (Bm @ rho_ss).reshape(-1), (0.0, tau_max),
+                     saveat=taus, observe=Am.T.reshape(-1)).states
     spectrum = fourier_spectrum(taus, corr, omegas)
     return np.asarray(omegas, dtype=float), spectrum, corr, taus
 

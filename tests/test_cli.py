@@ -388,27 +388,31 @@ def test_spectrum_non_steady_matches_steady_after_relaxation(laser_file, tmp_pat
 ])
 def test_steady_correlation_integrates_at_the_resolved_tolerances(
         laser_file, monkeypatch, command, stepped):
-    """The steady state and the delay trajectory run rk45 at the flag's
-    tolerance, else the model file's, whatever the file's solver line."""
+    """The steady state is a Newton root and gets no stepper config; the
+    delay trajectory of ``correlate`` runs rk45 at the flag's tolerance,
+    else the model file's, whatever the file's solver line."""
     with open(laser_file, "a", encoding="utf-8") as fh:
         fh.write("rtol 1e-9\natol 1e-11\n")
-    configs = {}
+    calls = {}
 
-    def spy(name, cfg_position):
+    def spy(name):
         real = getattr(main_mod, name)
 
         def wrapped(*args, **kwargs):
-            configs[name] = args[cfg_position]
+            calls[name] = (args, kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(main_mod, name, wrapped)
 
-    spy("steady_state", 2)
-    spy("correlation_trajectory", 3)
+    spy("steady_state")
+    spy("correlation_trajectory")
     assert main([command, laser_file, "--atol", "1e-12", "--tau-max", "5",
                  "--tau-points", "11", "--out", laser_file + ".out"]) == 0
-    assert set(configs) == stepped
-    for cfg in configs.values():
+    assert set(calls) == stepped
+    args, kwargs = calls["steady_state"]
+    assert len(args) == 2 and not kwargs        # the bound program and u0
+    if "correlation_trajectory" in calls:
+        cfg = calls["correlation_trajectory"][0][3]
         assert (cfg.method, cfg.rtol, cfg.atol) == ("rk45", 1e-9, 1e-12)
 
 
@@ -477,6 +481,21 @@ def test_cli_reports_dsl_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "2:" in err
     assert "oops" in err
+
+
+@pytest.mark.parametrize("line", [
+    "param nu = 4 + im",
+    "initial <a'*a> = 1 + im",
+    "observable T = temperature(a, a)",
+    "observable T = temperature(a, kappa)",
+])
+def test_number_errors_carry_their_line(tmp_path, capsys, line):
+    """A directive that needs a real number reports where it is."""
+    bad = tmp_path / "bad.cqm"
+    bad.write_text("space c fock\nop a = destroy(c)\nparam kappa = 1\n"
+                   f"hamiltonian a'*a\n{line}\n", encoding="utf-8")
+    assert main(["derive", str(bad)]) == 1
+    assert capsys.readouterr().err == f"{bad}:5:1: expected a real number\n"
 
 
 @pytest.mark.parametrize("command, flags", [

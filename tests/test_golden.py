@@ -14,6 +14,9 @@ instead of a committed file: N=20 here, and N=50 in acceptance criterion 2,
 which completes that set anyway.  So are the laser's high-order sets, whose
 over-order products are long and full of repeated factors: its archives at
 orders 6 and 8, and the rendered order-8 <a'(t+tau) a(t)> delay system.
+Delay systems in which the single-time averages are co-evolved, and the
+optomechanical one whose coherent drive adds delay-constant <B(t)> rows,
+are pinned by digest as well.
 """
 
 import hashlib
@@ -61,14 +64,37 @@ def _laser_closed(order: int):
                                      FILTER_PHASE))
 
 
-def _laser_correlation_text(order: int) -> str:
-    """The laser's <a'(t+tau) a(t)> delay system: equations, then constants."""
-    parsed = _parse_model_file("laser")
-    a_expr, b_expr = parsed.options.correlation
-    cs = build_correlation_system(a_expr, b_expr, _laser_closed(order))
+def _correlation_text(A, B, closed, steady=True) -> str:
+    """A rendered <A(t+tau) B(t)> delay system: equations, then constants."""
+    cs = build_correlation_system(A, B, closed, steady=steady)
     lines = [eq.render() for eq in cs.equations]
     lines += [render_average(sym) for sym in cs.constants]
     return "\n".join(lines)
+
+
+def _laser_correlation_text(order: int, steady=True) -> str:
+    """The laser's <a'(t+tau) a(t)> delay system."""
+    a_expr, b_expr = _parse_model_file("laser").options.correlation
+    return _correlation_text(a_expr, b_expr, _laser_closed(order), steady)
+
+
+def _optomech_correlation_text(steady: bool) -> str:
+    """models/optomech.cqm's <b'(t+tau) b(t)> delay system."""
+    parsed = _parse_model_file("optomech")
+    b = dict(parsed.model.operators)["b"]
+    closed = complete(meanfield_derive(parsed.options.track, parsed.model,
+                                       parsed.options.order))
+    return _correlation_text(b.dag(), b, closed, steady)
+
+
+def _tavis_correlation_text(steady: bool) -> str:
+    """Tavis N=5's <a'(t+tau) a(t)> delay system (order 2, phase filter)."""
+    from conftest import make_tavis
+
+    tavis = make_tavis(5)
+    closed = complete(meanfield_derive([tavis.s(2, 2, k) for k in range(5)],
+                                       tavis.model, 2, FILTER_PHASE))
+    return _correlation_text(tavis.ad, tavis.a, closed, steady)
 
 
 CASES = {**{m: (lambda m=m: _model_file_archive(m)) for m in MODELS},
@@ -90,6 +116,25 @@ LASER_DIGESTS = {
 }
 LASER_CORRELATION_DIGEST = (
     "ea26ac56e4f059c7b0d410e8a7ee27a1cb2a18eca0f77a528a25948535e9e061")
+
+# sha256 of further rendered delay systems, steady and co-evolved.
+CORRELATION_DIGESTS = {
+    "laser4-coevolved": (
+        lambda: _laser_correlation_text(4, steady=False),
+        "fb848be8d176987587a85a84d3e169485317613e6a9b0c51d81660c8db31848d"),
+    "optomech-steady": (
+        lambda: _optomech_correlation_text(True),
+        "e1b70e71e053245e9b4754ef50834d754a10325abed7af87e0b50f1cd575d8de"),
+    "optomech-coevolved": (
+        lambda: _optomech_correlation_text(False),
+        "b745d39f37f71336ef2af26a37164aef26a4714e473f97f7219ddbf3d925c24c"),
+    "tavis5-steady": (
+        lambda: _tavis_correlation_text(True),
+        "a8929b0214c765dda74192a38a356e693473fd8e33cd87a6f2a2cba8d5586382"),
+    "tavis5-coevolved": (
+        lambda: _tavis_correlation_text(False),
+        "a4f4a69a6cb86ede6f54e26629ca74b7a329ee65ba3a310be7beb36d58ba1e0d"),
+}
 
 
 def archive_digest(archive: str) -> str:
@@ -116,6 +161,12 @@ def test_laser_archive_matches_digest(order):
 def test_laser_correlation_system_matches_digest():
     assert archive_digest(_laser_correlation_text(8)) == \
         LASER_CORRELATION_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(CORRELATION_DIGESTS))
+def test_correlation_system_matches_digest(name):
+    text, digest = CORRELATION_DIGESTS[name]
+    assert archive_digest(text()) == digest
 
 
 def test_derivation_holds_no_shared_state_across_threads():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module under src/cqf imports a name it never uses.
+"""Source hygiene: no module under src/cqf imports a name it never uses,
+and every function the benchmark's tracer hooks still exists.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -6,9 +7,14 @@ base of an attribute access and in an annotation (also a quoted one).
 """
 
 import ast
+import importlib
+import importlib.util
 import os
+import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "cqf")
+TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                      "perfbench", "tracer.py")
 
 
 def _imported(tree):
@@ -72,3 +78,20 @@ def test_scan_sees_annotations_and_attribute_bases(tmp_path):
         "    return os.path.join(x)\n",
         encoding="utf-8")
     assert _unused_imports(path) == ["3: D", "3: E"]
+
+
+def test_every_benchmark_hook_resolves(monkeypatch):
+    """A hook whose target is gone turns its per-layer metrics to null in
+    traced benchmark runs, so each (module, attribute) must resolve."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)   # for its dataclasses
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr, _, _ in tracer.HOOKS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, f"benchmark hooks without a target: {missing}"

@@ -335,6 +335,26 @@ def test_saveat_rows_within_a_step_are_the_hermite_interpolant():
             assert np.max(np.abs(row - expected)) < 1e-15
 
 
+@pytest.mark.parametrize("observe", [np.array([2.0, 1j]),
+                                     np.array([[1.0, 0.0], [0.5, -1.0], [0, 3j]])])
+@pytest.mark.parametrize("saveat", [None, np.union1d(np.linspace(0.0, 3.0, 601),
+                                                     [0.3, 1.2])])
+def test_observed_rows_are_the_map_of_the_state_rows(observe, saveat):
+    """``observe`` is a linear map: each row, interpolated or at a step, is
+    ``observe @ state`` of the unobserved row, to rounding."""
+    def f(t, y):
+        return np.array([1j * y[0], -0.5 * y[1]])
+
+    y0 = np.array([1.0 + 0j, 2.0 + 0j])
+    cfg = StepperConfig.rk45(rtol=1e-5, atol=1e-7)
+    states = integrate(f, y0, (0.0, 3.0), cfg, saveat=saveat)
+    seen = integrate(f, y0, (0.0, 3.0), cfg, saveat=saveat, observe=observe)
+    assert np.array_equal(seen.times, states.times)
+    assert seen.states.shape == (len(states),) + observe.shape[:-1]
+    expected = states.states @ observe.T
+    assert np.max(np.abs(seen.states - expected)) < 1e-14
+
+
 @pytest.mark.parametrize("saveat, bad", [([-1.0, 0.0, 5.0, 20.0], "-1"),
                                          ([0.0, 5.0, 20.0], "20")])
 def test_saveat_outside_span_is_an_error(saveat, bad):
