@@ -298,8 +298,10 @@ def cmd_solve(args) -> int:
 def _correlation_inputs(parsed: ParsedModel, args, params):
     """Correlation system, reference state, operators and delay stepper.
 
-    The steady state is a Newton root and takes no stepper; the delay
-    trajectory runs rk45 at the resolved tolerances, and only a co-evolved
+    The steady state is a Newton root and takes no stepper.  The delay
+    stepper is rk45 at the resolved tolerances; it runs only where a delay
+    trajectory is integrated (``correlate``, and ``spectrum`` without a
+    steady state, whose resolvent integrates nothing).  Only a co-evolved
     reference time uses the model's stepper.
     """
     if parsed.options.correlation is None:

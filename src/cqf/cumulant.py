@@ -13,8 +13,9 @@ factors sit in runs, so its average depends only on how many factors it
 takes from each run: its count vector.  The expansion sums over the count
 vectors of the block holding the first factor, each weighted by the number
 of blocks that share it (P. J. Smith, Am. Stat. 49, 1995), and memoizes
-moments and cumulants on count vectors.  Products longer than
-``MAX_PARTITION_SIZE`` factors are refused all the same.
+moments and cumulants on count vectors, so its length has no cap; only
+``set_partitions``, which does list them, refuses more than
+``MAX_PARTITION_SIZE`` elements.
 
 Sign conventions are pinned by the explicit third-order identity
 
@@ -168,11 +169,6 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
     partitions weighted (b-1)! (-1)^b, so exact arithmetic returns the
     same expression.
     """
-    if len(factors) > MAX_PARTITION_SIZE:
-        raise CapacityError(
-            f"partitions of {len(factors)} elements exceed the cap of "
-            f"{MAX_PARTITION_SIZE}"
-        )
     runs = [(op, len(list(group))) for op, group in itertools.groupby(factors)]
     distinct = [op for op, _ in runs]
     moments: dict = {}

@@ -8,16 +8,30 @@ bases and the density matrix is evolved under the Lindblad generator
 with the same Runge-Kutta steppers as the moment engine.  This back end
 consumes the identical model definition object as the symbolic engine, so
 both sides see exactly the same Hamiltonian, jump operators and rates.
-Intended for desk-scale verification (dimensions up to a few thousand),
-not production simulation.
+
+Each basis state carries the charge q = sum of its Fock occupations and
+level indices, the U(1) phase that ``FundamentalOp.phase`` counts.  When
+every Hamiltonian monomial has phase 0 and the monomials of each jump share
+one phase, the generator maps each sector {(i, j): q_i - q_j = k} of
+density-matrix entries to itself, a weak symmetry (B. Buca and T. Prosen,
+New J. Phys. 14, 073007 (2012)).  An evolution then runs only on the
+sectors its start occupies, under the generator restricted to them as a
+dense matrix built by index arithmetic, and the steady state is the Newton
+root of sector 0 with the trace eliminated.  A model that does not conserve
+q, or sectors too large for a dense matrix to pay, keep the product form
+K rho + rho K_r + sum g c rho c' on the whole matrix.  Intended for
+desk-scale verification (dimensions up to a few thousand), not production
+simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .algebra.operators import sequence_phase
 from .algebra.qexpr import QExpr
 from .algebra.spaces import FOCK, ProductSpace
 from .errors import AlgebraError, EvaluationError
@@ -106,11 +120,6 @@ def to_matrix(x: QExpr, trunc: TruncationSpec, params: dict | None = None) -> np
     return out
 
 
-def expect(op_matrix: np.ndarray, rho: np.ndarray) -> complex:
-    """tr(rho O) for a density matrix and an operator matrix."""
-    return complex(np.trace(op_matrix @ rho))
-
-
 def ground_state(space: ProductSpace, trunc: TruncationSpec,
                  occupation: dict | None = None) -> np.ndarray:
     """Pure product density matrix.
@@ -140,110 +149,219 @@ def ground_state(space: ProductSpace, trunc: TruncationSpec,
     return np.outer(psi, psi.conj())
 
 
+class Sector:
+    """A set of density-matrix entries (i, j), listed in row-major order.
+
+    ``gather`` reads the entries off a matrix, ``scatter`` fills them into
+    zero matrices (over leading axes), and ``weights(O)`` is the vector w
+    with tr(O rho) = w @ gather(rho), since tr(O rho) = sum O_ji rho_ij.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        self.dim = mask.shape[0]
+        self.rows, self.cols = np.nonzero(mask)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def gather(self, m: np.ndarray) -> np.ndarray:
+        return m[self.rows, self.cols]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=np.complex128)
+        out[..., self.rows, self.cols] = x
+        return out
+
+    def weights(self, op: np.ndarray) -> np.ndarray:
+        return op[self.cols, self.rows]
+
+
 @dataclass
 class MEResult:
-    """Sampled density-matrix evolution with expectation extraction."""
+    """Sampled density-matrix evolution with expectation extraction.
+
+    ``states`` holds one row per time: the entries of the density matrix in
+    ``sector``, the charge sectors its start occupies (all entries for a
+    product-form generator).  The other entries stay zero; ``rhos`` are the
+    full matrices.
+    """
 
     times: np.ndarray
-    rhos: list
+    states: np.ndarray
+    sector: Sector
     space: ProductSpace
     trunc: TruncationSpec
     params: dict
     warnings: list = field(default_factory=list)
 
+    @cached_property
+    def rhos(self) -> list:
+        return list(self.sector.scatter(self.states))
+
     def expect(self, op: QExpr) -> np.ndarray:
+        """tr(O rho) at every sampled time."""
         m = to_matrix(op, self.trunc, self.params)
-        return np.array([expect(m, rho) for rho in self.rhos])
+        return self.states @ self.sector.weights(m)
 
     @property
     def final(self) -> np.ndarray:
-        return self.rhos[-1]
+        return self.sector.scatter(self.states[-1])
 
 
-def _lindblad_rhs(model: ModelDefinition, trunc: TruncationSpec, params: dict):
-    """The Lindblad generator as K rho + rho K_r + sum_n (g_n c_n) rho c_n',
+class _Lindblad:
+    """The Lindblad generator K rho + rho K_r + sum_n (g_n c_n) rho c_n',
 
     with K = -iH - 1/2 sum g c'c and K_r = iH - 1/2 sum g c'c (K' for real
     rates) folded once; rho need not be Hermitian (the delay evolution starts
-    from B rho_ss).
+    from B rho_ss).  Called as ``f(t, rho_flat)`` it is the product form on
+    the whole flattened matrix.  ``differences`` holds q_i - q_j per entry,
+    all zero when the model does not conserve q.
     """
-    H = to_matrix(model.hamiltonian, trunc, params)
-    loss = np.zeros_like(H)
-    jumps = []
-    for c, rate in zip(model.jumps, model.rates):
-        if rate.averages():
-            raise EvaluationError(
-                "symbolic average in a rate; the oracle needs numeric rates"
-            )
-        g = complex(rate.evaluate(params))
-        cm = to_matrix(c, trunc, params)
-        loss += 0.5 * g * (cm.conj().T @ cm)
-        jumps.append((g * cm, cm.conj().T))
-    K, K_right = -1j * H - loss, 1j * H - loss
-    dim = H.shape[0]
 
-    def rhs(t, rho_flat):
-        rho = rho_flat.reshape(dim, dim)
-        drho = K @ rho + rho @ K_right
-        for gc, cd in jumps:
+    def __init__(self, model: ModelDefinition, trunc: TruncationSpec,
+                 params: dict):
+        H = to_matrix(model.hamiltonian, trunc, params)
+        loss = np.zeros_like(H)
+        self.jumps = []
+        for c, rate in zip(model.jumps, model.rates):
+            if rate.averages():
+                raise EvaluationError(
+                    "symbolic average in a rate; the oracle needs numeric rates"
+                )
+            g = complex(rate.evaluate(params))
+            cm = to_matrix(c, trunc, params)
+            loss += 0.5 * g * (cm.conj().T @ cm)
+            self.jumps.append((g * cm, cm.conj().T))
+        self.K, self.K_right = -1j * H - loss, 1j * H - loss
+        self.dim = H.shape[0]
+        dims = trunc.dims(model.space)
+        self.levels = np.indices(dims).reshape(len(dims), -1)
+        conserved = (
+            all(sequence_phase(ops) == 0 for ops, _ in model.hamiltonian.terms)
+            and all(len({sequence_phase(ops) for ops, _ in c.terms}) <= 1
+                    for c in model.jumps))
+        charges = (self.levels.sum(axis=0) if conserved
+                   else np.zeros(self.dim, dtype=int))
+        self.differences = charges[:, None] - charges[None, :]
+
+    def __call__(self, t, rho_flat):
+        rho = rho_flat.reshape(self.dim, self.dim)
+        drho = self.K @ rho + rho @ self.K_right
+        for gc, cd in self.jumps:
             drho += gc @ rho @ cd
         return drho.reshape(-1)
 
-    return rhs, dim
+    def sector(self, start: np.ndarray) -> Sector:
+        """The entries whose charge difference q_i - q_j is that of a nonzero
+        entry of ``start``; all entries when a dense generator on those
+        would take more multiply-adds (|S|^2) than one n x n product (n^3)."""
+        mask = np.isin(self.differences, self.differences[start != 0])
+        if np.count_nonzero(mask) ** 2 > self.dim ** 3:
+            mask[:] = True
+        return Sector(mask)
+
+    def is_dense(self, sector: Sector) -> bool:
+        return len(sector) < self.dim ** 2
+
+    def matrix(self, sector: Sector) -> np.ndarray:
+        """The generator on the entries of ``sector`` as a dense matrix.
+
+        Entry ((i, j), (k, l)) is K_ik [j = l] + [i = k] K_r,lj
+        + sum_n (g_n c_n)_ik (c_n')_lj.
+        """
+        r, c = sector.rows, sector.cols
+        ik = (r[:, None], r[None, :])
+        lj = (c[None, :], c[:, None])
+        out = self.K[ik] * (lj[0] == lj[1]) + (ik[0] == ik[1]) * self.K_right[lj]
+        for gc, cd in self.jumps:
+            out += gc[ik] * cd[lj]
+        return out
+
+    def rhs(self, sector: Sector):
+        """d/dt of the entries of ``sector``."""
+        if not self.is_dense(sector):
+            return self
+        L = self.matrix(sector)
+        return lambda t, x: L @ x
 
 
-def _top_level_projectors(space: ProductSpace, trunc: TruncationSpec):
-    dims = trunc.dims(space)
-    projs = []
-    for k, f in enumerate(space.factors):
-        if f.kind != FOCK:
-            continue
-        blocks = []
-        for j, d in enumerate(dims):
-            m = np.eye(d, dtype=np.complex128)
-            if j == k:
-                m = np.zeros((d, d), dtype=np.complex128)
-                m[d - 1, d - 1] = 1.0
-            blocks.append(m)
-        p = blocks[0]
-        for b in blocks[1:]:
-            p = np.kron(p, b)
-        projs.append((f.name, p))
-    return projs
+class _Affine:
+    """x -> M x + b with its Jacobian, so ``steady_state`` runs its
+    certified Newton search on it."""
+
+    def __init__(self, M: np.ndarray, b: np.ndarray):
+        self.M, self.b = M, b
+
+    def __call__(self, t, x):
+        return self.M @ x + self.b
+
+    def jacobian(self, x):
+        return self.M, np.zeros_like(self.M)
 
 
 def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
               tspan, params: dict | None = None, saveat=None) -> MEResult:
     """Evolve the Lindblad master equation; attach truncation-leak warnings.
 
-    Population above the leak threshold in any top Fock level means the
-    cutoff is biting; the result is still returned, flagged.
+    Only the charge sectors that ``rho0`` occupies are evolved.  Population
+    above the leak threshold in any top Fock level means the cutoff is
+    biting; the result is still returned, flagged.
     """
     params = params or {}
-    rhs, dim = _lindblad_rhs(model, trunc, params)
-    traj = integrate(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1),
-                     tspan, saveat=saveat)
-    rhos = [row.reshape(dim, dim) for row in traj.states]
-    result = MEResult(traj.times, rhos, model.space, trunc, params)
-    for name, proj in _top_level_projectors(model.space, trunc):
-        top = max(abs(expect(proj, rho)) for rho in rhos)
+    lindblad = _Lindblad(model, trunc, params)
+    rho0 = np.asarray(rho0, dtype=np.complex128)
+    sector = lindblad.sector(rho0)
+    traj = integrate(lindblad.rhs(sector), sector.gather(rho0), tspan,
+                     saveat=saveat)
+    result = MEResult(traj.times, traj.states, sector, model.space, trunc,
+                      params)
+    # populations are diagonal entries, which sector 0 holds
+    diagonal = np.flatnonzero(sector.rows == sector.cols)
+    levels = lindblad.levels[:, sector.rows[diagonal]]
+    dims = trunc.dims(model.space)
+    for k, f in enumerate(model.space.factors):
+        if f.kind != FOCK:
+            continue
+        on_top = diagonal[levels[k] == dims[k] - 1]
+        top = float(np.max(np.abs(traj.states[:, on_top].sum(axis=1))))
         if top > LEAK_THRESHOLD:
             result.warnings.append(
-                f"truncation leak on {name!r}: top-level population {top:.3e}"
+                f"truncation leak on {f.name!r}: top-level population {top:.3e}"
             )
     return result
+
+
+def _steady(lindblad: _Lindblad, rho0: np.ndarray) -> np.ndarray:
+    """The steady density matrix: a Newton root in sector 0, or the product
+    form integrated to rest."""
+    # a unique steady state commutes with q, so it lies in sector 0
+    sector = lindblad.sector(np.eye(lindblad.dim))
+    x0 = sector.gather(np.asarray(rho0, dtype=np.complex128))
+    if not lindblad.is_dense(sector):
+        return sector.scatter(steady_state(lindblad, x0))
+    # rho_00 = 1 - (the other diagonal entries); (0, 0) is the first entry
+    L = lindblad.matrix(sector)
+    diagonal = (sector.rows == sector.cols)[1:]
+    M = L[1:, 1:] - np.outer(L[1:, 0], diagonal)
+    y = steady_state(_Affine(M, L[1:, 0]), x0[1:])
+    return sector.scatter(np.concatenate(([1.0 - y[diagonal].sum()], y)))
 
 
 def me_steady(model: ModelDefinition, trunc: TruncationSpec,
               rho0: np.ndarray | None = None,
               params: dict | None = None) -> np.ndarray:
-    """Steady density matrix by integrating until the generator residual vanishes."""
+    """Steady density matrix of the master equation.
+
+    With charge sectors, the steady state lies in sector 0 (q_i = q_j).
+    There the generator is a dense matrix, and with rho_00 eliminated by
+    the trace it is an affine map whose certified Newton root
+    ``steady_state`` finds; ``rho0`` is its start.  A product-form
+    generator is integrated from ``rho0`` until its residual vanishes.
+    """
     params = params or {}
-    rhs, dim = _lindblad_rhs(model, trunc, params)
     if rho0 is None:
         rho0 = ground_state(model.space, trunc)
-    flat = steady_state(rhs, np.asarray(rho0, dtype=np.complex128).reshape(-1))
-    return flat.reshape(dim, dim)
+    return _steady(_Lindblad(model, trunc, params), rho0)
 
 
 def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
@@ -253,18 +371,19 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     """Power spectrum via the regression theorem and a Fourier quadrature.
 
     The steady state is reached first; then B rho_ss is evolved under the
-    same generator and tr(A rho(tau)) is transformed on the requested grid.
-    Returns (omegas, S, C_tau, taus).
+    same generator, on the charge sectors it occupies, and tr(A rho(tau))
+    is transformed on the requested grid.  Returns (omegas, S, C_tau, taus).
     """
     params = params or {}
-    rho_ss = me_steady(model, trunc, rho0=rho0, params=params)
-    rhs, _ = _lindblad_rhs(model, trunc, params)
-    Bm = to_matrix(B, trunc, params)
-    Am = to_matrix(A, trunc, params)
+    if rho0 is None:
+        rho0 = ground_state(model.space, trunc)
+    lindblad = _Lindblad(model, trunc, params)
+    start = to_matrix(B, trunc, params) @ _steady(lindblad, rho0)
+    sector = lindblad.sector(start)
     taus = np.linspace(0.0, tau_max, tau_points)
-    # tr(A rho) = sum_ij A_ji rho_ij, a dot product with the flattened rho
-    corr = integrate(rhs, (Bm @ rho_ss).reshape(-1), (0.0, tau_max),
-                     saveat=taus, observe=Am.T.reshape(-1)).states
+    corr = integrate(lindblad.rhs(sector), sector.gather(start),
+                     (0.0, tau_max), saveat=taus,
+                     observe=sector.weights(to_matrix(A, trunc, params))).states
     spectrum = fourier_spectrum(taus, corr, omegas)
     return np.asarray(omegas, dtype=float), spectrum, corr, taus
 

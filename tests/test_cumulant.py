@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqf import (FILTER_PHASE, FilterFunction, OrderSpec, average,
-                 average_symbol, expand_average, expand_scalar, joint_cumulant,
-                 moment_expansion_once, qmul, set_partitions)
+                 average_symbol, build_correlation_system, complete,
+                 expand_average, expand_scalar, joint_cumulant,
+                 meanfield_derive, missing_averages, moment_expansion_once,
+                 qmul, set_partitions)
 from cqf.algebra import ScalarExpr
 from cqf.cumulant import MAX_PARTITION_SIZE
 from cqf.errors import AlgebraError, CapacityError
@@ -119,17 +121,19 @@ def test_partition_cap():
         set_partitions(0)
 
 
-def test_expansion_keeps_the_partition_cap(laser):
-    """Expansion counts blocks instead of listing partitions, but a product
-    longer than the cap is still refused."""
+def test_expansion_has_no_partition_cap(laser):
+    """Expansion counts blocks instead of listing partitions, so a product
+    longer than the cap of ``set_partitions`` expands: the laser closes at
+    order 14, and its delay system builds."""
     ops = _ops(*[laser.ad] * 7, *[laser.a] * 6)
     assert len(ops) == MAX_PARTITION_SIZE + 1
-    with pytest.raises(CapacityError, match="exceed the cap of 12"):
-        expand_average(average_symbol(ops), 1, None)
-    with pytest.raises(CapacityError):
-        moment_expansion_once(ops)
-    # at the cap itself the expansion runs
-    assert not moment_expansion_once(ops[1:]).is_zero
+    assert not moment_expansion_once(ops).is_zero
+    closed = complete(meanfield_derive([qmul(laser.ad, laser.a)], laser.model,
+                                       14, FILTER_PHASE))
+    assert not missing_averages(closed)
+    assert (len(closed), max(len(eq.lhs.ops) for eq in closed.equations)) == (21, 14)
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    assert len(cs) == 26
 
 
 # -- joint cumulant -----------------------------------------------------------

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cqf import (ModelDefinition, StepperConfig, TruncationSpec, adjoint,
-                 destroy, fock, ground_state, identity, me_evolve, me_steady,
-                 nlevel, parameters, product, qmul, to_matrix, transition)
+                 destroy, fock, ground_state, identity, integrate, me_evolve,
+                 me_spectrum, me_steady, nlevel, parameters, product, qmul,
+                 to_matrix, transition)
 from cqf.errors import EvaluationError
-from cqf.oracle import _lindblad_rhs
+from cqf.oracle import _Lindblad, fourier_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,8 @@ def test_generator_is_the_lindblad_form_on_non_hermitian_states(laser):
     """The folded generator against -i[H, rho] + sum g (c rho c' - {c'c, rho}/2),
     on a state that is not Hermitian, as B rho_ss in a delay evolution."""
     trunc = TruncationSpec.uniform(laser.space, 4)
-    rhs, dim = _lindblad_rhs(laser.model, trunc, laser.params)
+    rhs = _Lindblad(laser.model, trunc, laser.params)
+    dim = rhs.dim
     H = to_matrix(laser.model.hamiltonian, trunc, laser.params)
     rng = np.random.default_rng(2)
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -137,3 +139,146 @@ def test_oracle_uses_the_shared_model_object(laser):
     trunc = TruncationSpec.uniform(laser.space, 3)
     H = to_matrix(laser.model.hamiltonian, trunc, laser.params)
     assert H.shape == (8, 8)
+
+
+# -- charge sectors, against the full-space product form ------------------------
+
+
+def _superoperator(lindblad):
+    """The full generator as an n^2 x n^2 matrix: the product form applied
+    to every unit matrix."""
+    units = np.eye(lindblad.dim ** 2, dtype=np.complex128)
+    return np.column_stack([lindblad(0.0, e) for e in units])
+
+
+def _full_steady(lindblad):
+    """The null vector of the full generator with unit trace, by least squares."""
+    n = lindblad.dim
+    system = np.vstack([_superoperator(lindblad), np.eye(n).reshape(1, -1)])
+    rhs = np.zeros(n * n + 1, dtype=np.complex128)
+    rhs[-1] = 1.0
+    return np.linalg.lstsq(system, rhs, rcond=None)[0].reshape(n, n)
+
+
+def _driven_laser(laser):
+    """The laser with a coherent drive eta (a + a'), which breaks the charge."""
+    eta, = parameters("η")
+    H = laser.model.hamiltonian + eta * (laser.a + laser.ad)
+    model = ModelDefinition.create(laser.space, H, jumps=laser.model.jumps,
+                                   rates=laser.model.rates)
+    return model, dict(laser.params, η=0.7)
+
+
+def _cavity_superposition(space, trunc):
+    """(|0> + |1>)/sqrt(2) in the cavity, the atom in g: sectors -1, 0, 1."""
+    psi = np.kron(np.array([1.0, 1.0] + [0.0] * (trunc.dims(space)[0] - 2)),
+                  np.eye(trunc.dims(space)[1])[0]) / np.sqrt(2)
+    return np.outer(psi, psi).astype(np.complex128)
+
+
+def test_each_sector_block_is_the_full_generator_on_its_unit_matrices(laser):
+    trunc = TruncationSpec.uniform(laser.space, 3)
+    lindblad = _Lindblad(laser.model, trunc, laser.params)
+    n = lindblad.dim
+    full = _superoperator(lindblad)
+    covered = 0
+    for k in np.unique(lindblad.differences):
+        sector = lindblad.sector(lindblad.differences == k)
+        assert lindblad.is_dense(sector)
+        inside = sector.rows * n + sector.cols
+        covered += len(inside)
+        block = lindblad.matrix(sector)
+        assert np.max(np.abs(block - full[np.ix_(inside, inside)])) < 1e-13
+        # nothing the sector's entries generate lands outside it
+        outside = np.setdiff1d(np.arange(n * n), inside)
+        assert not np.any(full[np.ix_(outside, inside)])
+    assert covered == n * n
+
+
+def test_sector_steady_state_is_the_null_vector_of_the_full_generator(laser):
+    trunc = TruncationSpec.uniform(laser.space, 4)
+    reference = _full_steady(_Lindblad(laser.model, trunc, laser.params))
+    rho = me_steady(laser.model, trunc, params=laser.params)
+    assert np.max(np.abs(rho - reference)) < 1e-8
+
+
+def test_sector_evolution_of_a_cavity_coherence(laser):
+    # the smallest cutoff at which sectors -1, 0 and 1 together take the
+    # dense form (|S|^2 <= n^3)
+    trunc = TruncationSpec.uniform(laser.space, 16)
+    lindblad = _Lindblad(laser.model, trunc, laser.params)
+    rho0 = _cavity_superposition(laser.space, trunc)
+    times = np.linspace(0.0, 4.0, 41)
+    res = me_evolve(laser.model, trunc, rho0, (0.0, 4.0), params=laser.params,
+                    saveat=times)
+    assert len(res.sector) < lindblad.dim ** 2
+    assert set(np.unique(lindblad.differences[res.sector.rows, res.sector.cols])) \
+        == {-1, 0, 1}
+    full = integrate(lindblad, rho0.reshape(-1), (0.0, 4.0), saveat=times)
+    reference = full.states.reshape(len(times), lindblad.dim, lindblad.dim)
+    assert np.max(np.abs(np.array(res.rhos) - reference)) < 1e-9
+    a = to_matrix(laser.a, trunc)
+    coherence = np.einsum("ij,tji->t", a, reference)
+    assert np.max(np.abs(coherence)) > 0.1
+    assert np.max(np.abs(res.expect(laser.a) - coherence)) < 1e-9
+
+
+def test_sector_spectrum_of_a_two_sector_operator(laser, monkeypatch):
+    # at cutoff 5, sectors -1 and 1 together take the dense form
+    trunc = TruncationSpec.uniform(laser.space, 5)
+    lindblad = _Lindblad(laser.model, trunc, laser.params)
+    evolved = []
+    rhs = _Lindblad.rhs
+
+    def spy(self, sector):
+        evolved.append(sector)
+        return rhs(self, sector)
+
+    monkeypatch.setattr(_Lindblad, "rhs", spy)
+    x = laser.a + laser.ad
+    omegas = np.linspace(-3.0, 3.0, 61)
+    _, s, corr, taus = me_spectrum(laser.model, trunc, x, x, omegas,
+                                   params=laser.params, tau_max=20.0,
+                                   tau_points=801)
+    sector, = evolved
+    assert lindblad.is_dense(sector)
+    assert set(np.unique(lindblad.differences[sector.rows, sector.cols])) \
+        == {-1, 1}
+    xm = to_matrix(x, trunc)
+    start = xm @ _full_steady(lindblad)
+    ref_corr = integrate(lindblad, start.reshape(-1), (0.0, 20.0), saveat=taus,
+                         observe=xm.T.reshape(-1)).states
+    ref_s = fourier_spectrum(taus, ref_corr, omegas)
+    assert np.max(np.abs(corr - ref_corr)) < 1e-9 * np.max(np.abs(ref_corr))
+    assert np.max(np.abs(s - ref_s)) < 1e-9 * np.max(np.abs(ref_s))
+
+
+@pytest.mark.parametrize("case", ["driven laser", "three-level"])
+def test_models_without_the_charge_take_the_product_form(case, laser,
+                                                         three_level):
+    if case == "driven laser":
+        model, params = _driven_laser(laser)
+        space, probe = laser.space, laser.a
+    else:
+        model, params = three_level.model, three_level.params
+        space, probe = three_level.space, three_level.a
+    trunc = TruncationSpec.uniform(space, 3)
+    lindblad = _Lindblad(model, trunc, params)
+    assert not lindblad.differences.any()
+    rho0 = ground_state(space, trunc)
+    assert not lindblad.is_dense(lindblad.sector(rho0))
+
+    # the product form is integrated until max|drho/dt| < 1e-8, which fixes
+    # the state only to about that residual over the slowest decay rate
+    rho = me_steady(model, trunc, params=params)
+    assert np.max(np.abs(rho - _full_steady(lindblad))) < 1e-7
+
+    times = np.linspace(0.0, 2.0, 21)
+    res = me_evolve(model, trunc, rho0, (0.0, 2.0), params=params,
+                    saveat=times)
+    full = integrate(lindblad, rho0.reshape(-1), (0.0, 2.0), saveat=times)
+    assert np.max(np.abs(np.array(res.rhos).reshape(len(times), -1)
+                         - full.states)) < 1e-12
+    pm = to_matrix(probe, trunc)
+    assert np.allclose(res.expect(probe), full.states @ pm.T.reshape(-1),
+                       atol=1e-12)
