@@ -304,6 +304,9 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
     steady state, whose resolvent integrates nothing).  Only a co-evolved
     reference time uses the model's stepper.
     """
+    if args.tau_points < 2:
+        raise CqfError(f"--tau-points expects an integer of at least 2, "
+                       f"got '{args.tau_points}'")
     if parsed.options.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
     a_expr, b_expr = parsed.options.correlation

@@ -17,7 +17,9 @@ program that drives the delay integration, with the steady averages bound
 as external constants.  The spectrum follows from the one-sided Fourier
 transform evaluated via the resolvent: solve (i w - M) x = y(0) + d/(i w)
 per frequency and take S(w) = 2 Re x_primary.  Away from steady state the
-single-time averages are co-evolved in the delay instead.
+single-time averages are co-evolved in the delay instead.  The
+Wiener-Khinchin route transforms a sampled C(tau) by the trapezoid rule,
+as a chirp-z transform when the tau and w grids are uniform.
 """
 
 from __future__ import annotations
@@ -253,10 +255,96 @@ def correlation_trajectory(cs: CorrelationSystem, state, tauspan,
 
 def spectrum_fourier(taus, corr, omegas) -> SpectrumResult:
     """Wiener-Khinchin route: transform a sampled correlation trajectory."""
-    from .oracle import fourier_spectrum
-
     omegas = np.asarray(omegas, dtype=float)
     return SpectrumResult(omegas, fourier_spectrum(taus, corr, omegas))
+
+
+def fourier_spectrum(taus: np.ndarray, corr: np.ndarray,
+                     omegas) -> np.ndarray:
+    """2 Re integral_0^T exp(-i w tau) C(tau) dtau by trapezoid quadrature.
+
+    On uniform grids tau_k = tau_0 + k dtau and w_j = w_0 + j dw the sum
+    over k is a chirp-z transform (L. R. Rabiner, R. W. Schafer and
+    C. M. Rader, IEEE Trans. Audio Electroacoust. 17, 86 (1969)): with
+    jk = (j^2 + k^2 - (k - j)^2)/2 it is one convolution with the chirp
+    exp(i dw dtau m^2/2), done by FFTs of length at least N + M - 1.  Any
+    other grid takes the dense product exp(-i w tau) over all pairs.
+    """
+    taus = np.asarray(taus, dtype=float)
+    corr = np.asarray(corr, dtype=np.complex128)
+    omegas = np.asarray(omegas, dtype=float)
+    if len(taus) < 2 or len(corr) != len(taus):
+        raise EvaluationError(
+            f"a Fourier quadrature needs at least two tau points and one "
+            f"correlation value per point, got {len(taus)} tau points and "
+            f"{len(corr)} values")
+    if not np.all(np.diff(taus) > 0):
+        raise EvaluationError(
+            f"a Fourier quadrature needs strictly increasing tau points; "
+            f"the {len(taus)} given are not")
+    weights = np.empty_like(taus)
+    weights[1:-1] = (taus[2:] - taus[:-2]) / 2.0
+    weights[0] = (taus[1] - taus[0]) / 2.0
+    weights[-1] = (taus[-1] - taus[-2]) / 2.0
+    wc = weights * corr
+    dtau, domega = _uniform_step(taus), _uniform_step(omegas)
+    if dtau is not None and domega is not None:
+        return _chirp_z(wc, taus, omegas[0], dtau, domega, len(omegas))
+    out = np.empty(len(omegas))
+    chunk = 64
+    for start in range(0, len(omegas), chunk):
+        block = omegas[start:start + chunk]
+        phases = np.exp(-1j * np.outer(block, taus))
+        out[start:start + chunk] = 2.0 * (phases @ wc).real
+    return out
+
+
+def _uniform_step(x: np.ndarray) -> float | None:
+    """The step dx if every x_k lies within 4 ulps of max|x| of x_0 + k dx.
+
+    A single point is uniform with step 0; an empty grid is not uniform.
+    """
+    if len(x) < 2:
+        return 0.0 if len(x) else None
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    grid = x[0] + step * np.arange(len(x))
+    tol = 4 * np.spacing(np.max(np.abs(x)))
+    return float(step) if np.max(np.abs(x - grid)) <= tol else None
+
+
+def _chirp_z(wc: np.ndarray, taus: np.ndarray, omega0: float, dtau: float,
+             domega: float, m: int) -> np.ndarray:
+    """2 Re sum_k wc_k exp(-i w_j tau_k) for w_j = omega0 + j domega.
+
+    w_j tau_k = omega0 tau_k + j domega tau_0 + jk domega dtau, and the jk
+    term splits into chirps in j, in k and in k - j.
+    """
+    n = len(wc)
+    half = domega * dtau / 2.0
+    chirp_j = _chirp(half, np.arange(m))
+    chirp_k = _chirp(half, np.arange(n))
+    size = 1 << (n + m - 2).bit_length()        # a power of two >= n + m - 1
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:m] = chirp_j                         # k - j = -j
+    kernel[size - n + 1:] = chirp_k[:0:-1]       # k - j = n - 1, ..., 1
+    pre = wc * np.exp(-1j * omega0 * taus) * chirp_k.conj()
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel))[:m]
+    post = np.exp(-1j * domega * taus[0] * np.arange(m)) * chirp_j.conj()
+    return 2.0 * (post * conv).real
+
+
+def _chirp(half: float, m: np.ndarray) -> np.ndarray:
+    """exp(i half m^2), with a phase exact to rounding however large m is.
+
+    One rounded product half * m^2 is off by an ulp of a phase that grows
+    as m^2 (2.5e-12 of the peak at 6,001 tau points over [0, 2000]).  So
+    half splits (Veltkamp) into a head whose product with every m^2 is
+    exact and a tail small enough that its product loses nothing.
+    """
+    sq = (m * m).astype(float)
+    split = 2.0 ** int(sq.max()).bit_length() + 1.0
+    head = split * half - (split * half - half)
+    return np.exp(1j * head * sq) * np.exp(1j * (half - head) * sq)
 
 
 def decay_time(ls: LinearSystem) -> float:

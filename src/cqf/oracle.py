@@ -34,6 +34,7 @@ import numpy as np
 from .algebra.operators import sequence_phase
 from .algebra.qexpr import QExpr
 from .algebra.spaces import FOCK, ProductSpace
+from .correlation import fourier_spectrum
 from .errors import AlgebraError, EvaluationError
 from .meanfield import ModelDefinition
 from .numerics.steppers import integrate, steady_state
@@ -387,22 +388,3 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     spectrum = fourier_spectrum(taus, corr, omegas)
     return np.asarray(omegas, dtype=float), spectrum, corr, taus
 
-
-def fourier_spectrum(taus: np.ndarray, corr: np.ndarray,
-                     omegas) -> np.ndarray:
-    """2 Re integral_0^T exp(-i w tau) C(tau) dtau by trapezoid quadrature."""
-    taus = np.asarray(taus, dtype=float)
-    corr = np.asarray(corr, dtype=np.complex128)
-    omegas = np.asarray(omegas, dtype=float)
-    weights = np.empty_like(taus)
-    weights[1:-1] = (taus[2:] - taus[:-2]) / 2.0
-    weights[0] = (taus[1] - taus[0]) / 2.0
-    weights[-1] = (taus[-1] - taus[-2]) / 2.0
-    out = np.empty(len(omegas))
-    chunk = 64
-    wc = weights * corr
-    for start in range(0, len(omegas), chunk):
-        block = omegas[start:start + chunk]
-        phases = np.exp(-1j * np.outer(block, taus))
-        out[start:start + chunk] = 2.0 * (phases @ wc).real
-    return out

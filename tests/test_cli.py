@@ -510,6 +510,10 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("spectrum", ["--oracle", "--cutoff", "atom=3"]),
     ("solve", ["--rtol", "0"]),
     ("correlate", ["--no-steady", "--method", "rk45", "--atol", "-1"]),
+    ("correlate", ["--tau-points", "-3"]),
+    ("correlate", ["--tau-points", "0"]),
+    ("spectrum", ["--no-steady", "--tau-points", "1"]),
+    ("spectrum", ["--oracle", "--tau-points", "0"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):

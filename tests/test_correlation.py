@@ -1,8 +1,13 @@
 """Two-time correlations: structure, initial values, spectra."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cqf.correlation as correlation_module
 from cqf import (FILTER_PHASE, I_UNIT, CorrelationSystem, EquationSet,
                  StepperConfig, average_symbol, build_correlation_system, complete,
                  correlation_symbol, correlation_trajectory, decay_time,
@@ -11,6 +16,7 @@ from cqf import (FILTER_PHASE, I_UNIT, CorrelationSystem, EquationSet,
                  spectrum_laplace, state_mapping, steady_state)
 from cqf.algebra import ScalarExpr
 from cqf.correlation import _lower as lower_correlation
+from cqf.correlation import fourier_spectrum
 from cqf.errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from cqf.meanfield import MeanfieldEquation
 from conftest import make_laser
@@ -401,3 +407,109 @@ def test_per_average_mappings_read_either_orientation(laser):
 
     assert np.array_equal(initial_state(prog.layout, flipped), yss)
     assert np.array_equal(initial_state(prog.layout, by_family), yss)
+
+
+# -- Fourier quadrature ------------------------------------------------------
+
+def _trapezoid_dense(taus, corr, omegas):
+    """2 Re sum_k w_k C_k exp(-i w tau_k), one row of phases per frequency."""
+    weights = np.empty_like(taus)
+    weights[1:-1] = (taus[2:] - taus[:-2]) / 2.0
+    weights[0] = (taus[1] - taus[0]) / 2.0
+    weights[-1] = (taus[-1] - taus[-2]) / 2.0
+    return 2.0 * (np.exp(-1j * np.outer(omegas, taus)) @ (weights * corr)).real
+
+
+def _decaying(taus, peak, seed):
+    """A damped oscillation at frequency ``peak`` and a weaker one elsewhere.
+
+    The first sets the spectrum's peak where the grid holds ``peak``, so
+    the peak is comparable to sum |w_k C_k| and 1e-12 of it is a fair bound.
+    """
+    rng = np.random.default_rng(seed)
+    span = taus[-1] - taus[0]
+    rates = np.array([3.0, rng.uniform(3.0, 12.0)]) / span
+    freqs = np.array([peak, rng.uniform(-2.0, 2.0)])
+    amps = np.array([1.0, 0.3 * np.exp(2j * np.pi * rng.uniform())])
+    return (np.exp(-np.outer(taus - taus[0], rates))
+            * np.exp(1j * np.outer(taus, freqs))) @ amps
+
+
+@contextmanager
+def _chirp_calls():
+    """Records the length of each input the chirp-z route is called on."""
+    calls = []
+    route = correlation_module._chirp_z
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return route(*args)
+
+    correlation_module._chirp_z = spy
+    try:
+        yield calls
+    finally:
+        correlation_module._chirp_z = route
+
+
+def _assert_fast_matches_dense(taus, omegas, seed):
+    corr = _decaying(taus, omegas[seed % len(omegas)], seed)
+    with _chirp_calls() as calls:
+        fast = fourier_spectrum(taus, corr, omegas)
+    dense = _trapezoid_dense(taus, corr, omegas)
+    assert calls == [len(taus)]
+    assert fast.shape == (len(omegas),)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("taus, omegas", [
+    (np.linspace(0.0, 7.3, 1235), np.linspace(-2.0, 3.0, 77)),     # odd N, M
+    (np.array([0.0, 1.5]), np.array([0.7])),                        # N = 2, M = 1
+    (np.linspace(0.0, 10.0, 400), np.linspace(2.0, -2.0, 101)),     # descending
+    (np.linspace(2.5, 12.5, 501), np.linspace(-3.0, 3.0, 60)),      # tau_0 != 0
+    (np.linspace(0.0, 2000.0, 6001), np.linspace(-np.pi, np.pi, 301)),
+], ids=["odd", "two-by-one", "descending-omega", "shifted-tau", "laser-window"])
+def test_uniform_grids_take_the_chirp_z_route(taus, omegas):
+    _assert_fast_matches_dense(taus, omegas, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 700), m=st.integers(1, 200),
+       tau0=st.floats(0.0, 50.0), span=st.floats(0.1, 2000.0),
+       w_lo=st.floats(-np.pi, np.pi), w_hi=st.floats(-np.pi, np.pi),
+       seed=st.integers(0, 2**16))
+def test_chirp_z_matches_the_dense_sum(n, m, tau0, span, w_lo, w_hi, seed):
+    _assert_fast_matches_dense(np.linspace(tau0, tau0 + span, n),
+                               np.linspace(w_lo, w_hi, m), seed)
+
+
+def _nudged(taus):
+    taus = taus.copy()
+    taus[137] += 1e-9
+    return taus
+
+
+@pytest.mark.parametrize("taus, omegas", [
+    (np.geomspace(1e-3, 10.0, 300), np.linspace(-np.pi, np.pi, 41)),
+    (_nudged(np.linspace(0.0, 10.0, 300)), np.linspace(-np.pi, np.pi, 41)),
+    (np.linspace(0.0, 10.0, 300), np.geomspace(0.1, 3.0, 41)),
+    (np.linspace(0.0, 10.0, 300), np.array([])),
+], ids=["geomspace-tau", "nudged-tau", "geomspace-omega", "no-omega"])
+def test_non_uniform_grids_take_the_dense_product(taus, omegas):
+    corr = _decaying(taus, 0.5, 1)
+    with _chirp_calls() as calls:
+        result = fourier_spectrum(taus, corr, omegas)
+    assert calls == []
+    assert np.array_equal(result, _trapezoid_dense(taus, corr, omegas))
+
+
+@pytest.mark.parametrize("taus, corr, sizes", [
+    ([0.0], [1.0], "1 tau points and 1 values"),
+    ([], [], "0 tau points and 0 values"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5], "3 tau points and 2 values"),
+    ([0.0, 2.0, 1.0], [1.0, 0.5, 0.2], "the 3 given"),
+    ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2], "the 3 given"),
+])
+def test_fourier_quadrature_rejects_bad_tau_grids(taus, corr, sizes):
+    with pytest.raises(EvaluationError, match=sizes):
+        fourier_spectrum(taus, corr, np.linspace(-1.0, 1.0, 5))
