@@ -233,7 +233,9 @@ class ScalarExpr:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "ScalarExpr":
-        other = ScalarExpr.number(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         # Every expression is normalized already, so a zero summand is a no-op.
         if other.is_zero:
             return self
@@ -249,7 +251,10 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __sub__(self, other) -> "ScalarExpr":
-        return self + (-ScalarExpr.number(other))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "ScalarExpr":
         return ScalarExpr.number(other) + (-self)
@@ -258,11 +263,9 @@ class ScalarExpr:
         return ScalarExpr(tuple((-c, params, avgs) for c, params, avgs in self.terms))
 
     def __mul__(self, other) -> "ScalarExpr":
-        from .qexpr import QExpr
-
-        if isinstance(other, QExpr):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        other = ScalarExpr.number(other)
         if self.is_zero or other.is_zero:
             return _ZERO
         d: dict = {}
@@ -381,6 +384,16 @@ def _param_key(entry):
 def _avg_key(entry):
     s, _ = entry
     return s.sort_key
+
+
+def _operand(value) -> ScalarExpr | None:
+    """The other operand of scalar arithmetic as a ScalarExpr, or None for an
+    operator expression, whose reflected method does the arithmetic."""
+    if isinstance(value, ScalarExpr):
+        return value
+    from .qexpr import QExpr
+
+    return None if isinstance(value, QExpr) else ScalarExpr.number(value)
 
 
 def _merge_pow(f1, f2, keyfn):

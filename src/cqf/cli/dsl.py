@@ -27,10 +27,15 @@ Hamiltonian, the decay channels, and run options.  Example::
     tspan 0 20
 
 Expressions support +, -, *, parentheses, the dagger suffix ', the
-imaginary unit ``im``, integers, rationals (3/4) and decimals.  Level
-labels live in their space declaration and never collide with identifiers.
-Spaces must be declared before the first operator; every name must be
-declared before use.  All errors carry a line and column.
+imaginary unit ``im``, integers, rationals (3/4) and decimals; a term may
+be a scalar (``w - a'*a``).  Level labels live in their space declaration
+and never collide with identifiers.  Spaces must be declared before the
+first operator; every name must be declared once, before use.  Counts
+(order, saveat, cutoff) are positive integers and tspan needs t0 < t1.
+
+All errors carry a line and column: a syntax error points at its token,
+and whatever the algebra refuses (a space with one level, an unknown
+level label) at the directive keyword.
 """
 
 from __future__ import annotations
@@ -40,11 +45,12 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from ..algebra.averages import average_symbol
+from ..algebra.operators import TRANSITION
 from ..algebra.qexpr import QExpr, create, destroy, transition
 from ..algebra.scalars import I_UNIT, Parameter, ScalarExpr
 from ..algebra.spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace, fock, nlevel
 from ..cumulant import OrderSpec
-from ..errors import DslError
+from ..errors import CqfError, DslError
 from ..meanfield import ModelDefinition
 
 _PUNCT = {"+", "-", "*", "(", ")", "'", ",", "/", "<", ">", "="}
@@ -141,10 +147,6 @@ class ObservableDef:
 class ParsedModel:
     model: ModelDefinition
     options: RunOptions
-    source_order: list = field(default_factory=list)
-
-    def pretty(self) -> str:
-        return pretty_print(self)
 
 
 class _ExprParser:
@@ -185,14 +187,13 @@ class _ExprParser:
         value = self.parse_unary()
         while self.peek().text == "*":
             self.next()
-            rhs = self.parse_unary()
-            value = _mul(value, rhs, self.peek())
+            value = value * self.parse_unary()
         return value
 
     def parse_unary(self):
         if self.peek().text == "-":
-            tok = self.next()
-            return _neg(self.parse_unary(), tok)
+            self.next()
+            return -self.parse_unary()
         return self.parse_postfix()
 
     def parse_postfix(self):
@@ -230,46 +231,39 @@ class _ExprParser:
                        tok.line, tok.column)
 
 
-def _mul(a, b, tok: Token):
-    try:
-        return a * b
-    except Exception as err:
-        raise DslError(str(err), tok.line, tok.column) from None
-
-
-def _neg(a, tok: Token):
-    try:
-        return -a
-    except Exception as err:
-        raise DslError(str(err), tok.line, tok.column) from None
-
-
 class _Scope:
+    """Everything the lines read so far have declared or given."""
+
     def __init__(self):
-        self.spaces: list[HilbertSpace] = []
         self.space: ProductSpace | None = None
+        self.frozen = False
         self.ops: dict[str, QExpr] = {}
         self.params: dict[str, Parameter] = {}
         self.mode_names: dict[int, str] = {}
+        self.options = RunOptions()
+        self.hamiltonian: QExpr | None = None
+        self.jumps: list[QExpr] = []
+        self.rates: list[ScalarExpr] = []
 
-    def freeze_space(self, tok: Token) -> ProductSpace:
+    @property
+    def factors(self) -> tuple[HilbertSpace, ...]:
+        return self.space.factors if self.space is not None else ()
+
+    def freeze_space(self) -> ProductSpace:
         if self.space is None:
-            if not self.spaces:
-                raise DslError("declare at least one space first", tok.line, tok.column)
-            self.space = ProductSpace(tuple(self.spaces))
+            raise CqfError("declare at least one space first")
+        self.frozen = True
         return self.space
 
-    def mode_name(self, index: int, binding: str) -> str:
-        """Display name of a bosonic mode: the first binding declared wins."""
-        return self.mode_names.setdefault(index, binding)
-
-    def transition_name(self, space: ProductSpace, index: int) -> str:
-        """Canonical display name of a subspace's transition family."""
-        nlevel_factors = [k for k, f in enumerate(space.factors)
-                          if f.kind == NLEVEL]
-        if len(nlevel_factors) == 1:
-            return "σ"
-        return f"σ{index}"
+    def check_new_name(self, name: str, kind: str):
+        """Refuse ``im`` and a name an earlier ``op`` or ``param`` line declared."""
+        taken = ("the imaginary unit" if name == "im"
+                 else "operator" if name in self.ops
+                 else "parameter" if name in self.params else None)
+        if taken == kind:
+            raise CqfError(f"{kind} {name!r} declared twice")
+        if taken:
+            raise CqfError(f"{kind} {name!r} clashes with {taken} {name!r}")
 
     def lookup(self, tok: Token):
         if tok.text in self.ops:
@@ -281,282 +275,254 @@ class _Scope:
 
 def parse_model(text: str) -> ParsedModel:
     scope = _Scope()
-    options = RunOptions()
-    hamiltonian = None
-    jumps: list[QExpr] = []
-    rates: list[ScalarExpr] = []
-    op_order: list[str] = []
-    ham_token = None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         tokens = _tokenize_line(raw, line_no)
-        if tokens[0].kind == "end":
-            continue
         head = tokens[0]
+        if head.kind == "end":
+            continue
         if head.kind != "ident":
             raise DslError("a directive keyword must start the line",
                            head.line, head.column)
-        p = _ExprParser(tokens[1:], scope)
-        directive = head.text
-
-        if directive == "space":
-            if scope.space is not None:
-                raise DslError("spaces must be declared before any operator",
-                               head.line, head.column)
-            name = _ident(p)
-            kind = _ident(p)
-            if kind == "fock":
-                scope.spaces.append(fock(name))
-            elif kind == "nlevel":
-                labels = []
-                ground = None
-                while not p.at_end():
-                    tok = p.next()
-                    if tok.kind not in ("ident", "number"):
-                        raise DslError("expected a level label", tok.line, tok.column)
-                    if tok.text == "ground" and tok.kind == "ident" and not p.at_end():
-                        gtok = p.next()
-                        ground = gtok.text
-                        break
-                    labels.append(tok.text)
-                if len(labels) == 1 and labels[0].isdigit():
-                    scope.spaces.append(nlevel(name, int(labels[0]), ground))
-                else:
-                    scope.spaces.append(nlevel(name, labels, ground))
-            else:
-                raise DslError(f"unknown space kind {kind!r} (fock or nlevel)",
-                               head.line, head.column)
-            _expect_line_end(p)
-
-        elif directive == "op":
-            name = _ident(p)
-            p.expect("=")
-            fn = _ident(p)
-            p.expect("(")
-            space = scope.freeze_space(head)
-            if fn in ("destroy", "create"):
-                space_name = _ident(p)
-                p.expect(")")
-                maker = destroy if fn == "destroy" else create
-                try:
-                    index = space.index(space_name)
-                except Exception as err:
-                    raise DslError(str(err), head.line, head.column) from None
-                display = scope.mode_name(index, name)
-                scope.ops[name] = _build_op(maker, space, display, space_name,
-                                            head)
-            elif fn == "transition":
-                space_name = _ident(p)
-                p.expect(",")
-                i_tok = p.next()
-                p.expect(",")
-                j_tok = p.next()
-                p.expect(")")
-                try:
-                    index = space.index(space_name)
-                    display = scope.transition_name(space, index)
-                    scope.ops[name] = transition(space, display, i_tok.text,
-                                                 j_tok.text, space_name)
-                except DslError:
-                    raise
-                except Exception as err:
-                    raise DslError(str(err), head.line, head.column) from None
-            else:
-                raise DslError(
-                    f"unknown operator constructor {fn!r} "
-                    "(destroy, create or transition)", head.line, head.column)
-            op_order.append(name)
-            _expect_line_end(p)
-
-        elif directive == "param":
-            name = _ident(p)
-            if name in scope.params:
-                raise DslError(f"parameter {name!r} declared twice",
-                               head.line, head.column)
-            scope.params[name] = Parameter(name)
-            if p.peek().text == "=":
-                p.next()
-                value = p.parse_expr()
-                if not isinstance(value, ScalarExpr) or not value.is_number:
-                    raise DslError("parameter values must be numbers",
-                                   head.line, head.column)
-                options.param_values[name] = _to_float(value, head)
-            _expect_line_end(p)
-
-        elif directive == "hamiltonian":
-            scope.freeze_space(head)
-            if p.at_end():
-                raise DslError("empty hamiltonian", head.line, head.column)
-            value = p.parse_expr()
-            _expect_line_end(p)
-            if not isinstance(value, QExpr):
-                raise DslError("the hamiltonian must be an operator expression",
-                               head.line, head.column)
-            if hamiltonian is not None:
-                raise DslError("hamiltonian given twice", head.line, head.column)
-            hamiltonian = value
-            ham_token = head
-
-        elif directive == "jump":
-            scope.freeze_space(head)
-            opexpr = p.parse_expr()
-            kw = _ident(p)
-            if kw != "rate":
-                raise DslError("expected 'rate' after the jump operator",
-                               head.line, head.column)
-            rate = p.parse_expr()
-            _expect_line_end(p)
-            if not isinstance(opexpr, QExpr):
-                raise DslError("jump must be an operator expression",
-                               head.line, head.column)
-            if isinstance(rate, QExpr):
-                raise DslError("rates are c-number expressions",
-                               head.line, head.column)
-            jumps.append(opexpr)
-            rates.append(rate if isinstance(rate, ScalarExpr)
-                         else ScalarExpr.number(rate))
-
-        elif directive == "order":
-            entries = [int(_number(_number_tok(p)))]
-            while p.peek().text == ",":
-                p.next()
-                entries.append(int(_number(_number_tok(p))))
-            _expect_line_end(p)
-            options.order = (OrderSpec.of(entries[0]) if len(entries) == 1
-                             else OrderSpec.of(tuple(entries)))
-
-        elif directive == "filter":
-            name = _ident(p)
-            if name not in ("none", "phase"):
-                raise DslError(f"unknown filter preset {name!r}", head.line, head.column)
-            options.filter_name = name
-            _expect_line_end(p)
-
-        elif directive == "track":
-            while True:
-                value = p.parse_expr()
-                if not isinstance(value, QExpr):
-                    raise DslError("track entries must be operator products",
-                                   head.line, head.column)
-                options.track.append(value)
-                if p.peek().text != ",":
-                    break
-                p.next()
-            _expect_line_end(p)
-
-        elif directive == "observable":
-            name = _ident(p)
-            p.expect("=")
-            nxt = p.peek()
-            if nxt.kind == "ident" and nxt.text in ("mandel_q", "temperature"):
-                fn = p.next().text
-                p.expect("(")
-                mode = p.parse_expr()
-                if not isinstance(mode, QExpr):
-                    raise DslError("expected a mode operator", nxt.line, nxt.column)
-                omega = None
-                if fn == "temperature":
-                    p.expect(",")
-                    omega = _to_float(p.parse_expr(), head)
-                p.expect(")")
-                _expect_line_end(p)
-                options.observables.append(
-                    ObservableDef(name, fn, mode=mode, omega=omega))
-            else:
-                value = p.parse_expr()
-                _expect_line_end(p)
-                if not isinstance(value, QExpr):
-                    raise DslError("observables are operator expressions "
-                                   "or builtin calls", head.line, head.column)
-                options.observables.append(ObservableDef(name, "expr", expr=value))
-
-        elif directive == "initial":
-            p.expect("<")
-            value = p.parse_expr()
-            p.expect(">")
-            p.expect("=")
-            number = p.parse_expr()
-            _expect_line_end(p)
-            if not isinstance(value, QExpr):
-                raise DslError("initial values address operator averages",
-                               head.line, head.column)
-            try:
-                sym = average_symbol(value.monomial_ops())
-            except Exception as err:
-                raise DslError(str(err), head.line, head.column) from None
-            options.initial[sym] = _to_float(number, head)
-
-        elif directive == "tspan":
-            t0 = float(_signed_number(p))
-            t1 = float(_signed_number(p))
-            _expect_line_end(p)
-            options.tspan = (t0, t1)
-
-        elif directive == "solver":
-            method = _ident(p)
-            if method not in ("rk4", "rk45"):
-                raise DslError(f"unknown method {method!r}", head.line, head.column)
-            options.method = method
-            _expect_line_end(p)
-
-        elif directive in ("dt", "rtol", "atol"):
-            value = float(_signed_number(p))
-            _expect_line_end(p)
-            setattr(options, directive, value)
-
-        elif directive == "saveat":
-            options.saveat = int(_number(_number_tok(p)))
-            _expect_line_end(p)
-
-        elif directive == "correlation":
-            a_expr = p.parse_expr()
-            p.expect(",")
-            b_expr = p.parse_expr()
-            _expect_line_end(p)
-            if not isinstance(a_expr, QExpr) or not isinstance(b_expr, QExpr):
-                raise DslError("correlation takes two operator products",
-                               head.line, head.column)
-            options.correlation = (a_expr, b_expr)
-
-        elif directive == "cutoff":
-            name = _ident(p)
-            options.cutoffs[name] = int(_number(_number_tok(p)))
-            _expect_line_end(p)
-            focks = [f.name for f in scope.spaces if f.kind == FOCK]
-            if name not in focks:
-                raise DslError(
-                    f"cutoff expects SPACE N with SPACE one of the model's Fock "
-                    f"spaces ({', '.join(focks)}), got '{name} {options.cutoffs[name]}'"
-                    f": no Fock space {name!r}", head.line, head.column)
-
-        elif directive == "oracle_state":
-            name = _ident(p)
-            tok = p.next()
-            if tok.kind not in ("ident", "number"):
-                raise DslError("expected a level label or occupation number",
-                               tok.line, tok.column)
-            options.oracle_state[name] = tok.text
-            _expect_line_end(p)
-
-        else:
-            raise DslError(f"unknown directive {directive!r}", head.line, head.column)
-
-    if hamiltonian is None:
-        raise DslError("model has no hamiltonian", len(text.splitlines()) + 1, 1)
-    space = scope.freeze_space(ham_token)
+        try:
+            _read_directive(head.text, _ExprParser(tokens[1:], scope), scope)
+        except DslError:
+            raise
+        except CqfError as err:
+            # an error without a location, from the algebra or a directive's
+            # own checks, is located at the directive keyword
+            raise DslError(str(err), head.line, head.column) from None
+    if scope.hamiltonian is None:
+        raise DslError("model has no hamiltonian", len(lines) + 1, 1)
     model = ModelDefinition.create(
-        space, hamiltonian, jumps, rates,
+        scope.space, scope.hamiltonian, scope.jumps, scope.rates,
         parameters=tuple(scope.params[k] for k in sorted(scope.params)),
-        operators=tuple((name, scope.ops[name]) for name in op_order),
+        operators=tuple(scope.ops.items()),
     )
-    return ParsedModel(model, options, op_order)
+    return ParsedModel(model, scope.options)
 
 
-def _build_op(maker, space, name, space_name, head):
-    try:
-        return maker(space, name, space_name)
-    except Exception as err:
-        raise DslError(str(err), head.line, head.column) from None
+def _read_directive(directive: str, p: _ExprParser, scope: _Scope):
+    """Read one line's directive into ``scope``.
+
+    A syntax error is a DslError at its token; any other CqfError is located
+    by ``parse_model`` at the directive keyword.
+    """
+    options = scope.options
+
+    if directive == "space":
+        if scope.frozen:
+            raise CqfError("spaces must be declared before any operator")
+        name = _ident(p)
+        kind = _ident(p)
+        if kind == "fock":
+            factor = fock(name)
+        elif kind == "nlevel":
+            labels = []
+            ground = None
+            while not p.at_end():
+                tok = p.next()
+                if tok.kind not in ("ident", "number"):
+                    raise DslError("expected a level label", tok.line, tok.column)
+                if tok.text == "ground" and tok.kind == "ident" and not p.at_end():
+                    ground = p.next().text
+                    break
+                labels.append(tok.text)
+            if len(labels) == 1 and labels[0].isdecimal():
+                labels = int(labels[0])
+            factor = nlevel(name, labels, ground)
+        else:
+            raise CqfError(f"unknown space kind {kind!r} (fock or nlevel)")
+        # the product space refuses a repeated name at the line that repeats it
+        scope.space = ProductSpace(scope.factors + (factor,))
+        _expect_line_end(p)
+
+    elif directive == "op":
+        name = _ident(p)
+        p.expect("=")
+        fn = _ident(p)
+        p.expect("(")
+        space = scope.freeze_space()
+        if fn not in ("destroy", "create", "transition"):
+            raise CqfError(
+                f"unknown operator constructor {fn!r} "
+                "(destroy, create or transition)")
+        space_name = _ident(p)
+        if fn == "transition":
+            p.expect(",")
+            i_tok = p.next()
+            p.expect(",")
+            j_tok = p.next()
+        p.expect(")")
+        index = space.index(space_name)
+        # display names: σ for the transitions of the only discrete factor,
+        # else σ<index>; a mode is named by its first binding
+        if fn == "transition":
+            nlevels = sum(f.kind == NLEVEL for f in space.factors)
+            display = "σ" if nlevels == 1 else f"σ{index}"
+            op = transition(space, display, i_tok.text, j_tok.text, space_name)
+        else:
+            maker = destroy if fn == "destroy" else create
+            op = maker(space, scope.mode_names.setdefault(index, name), space_name)
+        _expect_line_end(p)
+        scope.check_new_name(name, "operator")
+        scope.ops[name] = op
+
+    elif directive == "param":
+        name = _ident(p)
+        scope.check_new_name(name, "parameter")
+        scope.params[name] = Parameter(name)
+        if p.peek().text == "=":
+            p.next()
+            value = p.parse_expr()
+            if not isinstance(value, ScalarExpr) or not value.is_number:
+                raise CqfError("parameter values must be numbers")
+            options.param_values[name] = _to_float(value)
+        _expect_line_end(p)
+
+    elif directive == "hamiltonian":
+        scope.freeze_space()
+        if p.at_end():
+            raise CqfError("empty hamiltonian")
+        value = p.parse_expr()
+        _expect_line_end(p)
+        value = _operator(value, "the hamiltonian must be an operator expression")
+        if scope.hamiltonian is not None:
+            raise CqfError("hamiltonian given twice")
+        scope.hamiltonian = value
+
+    elif directive == "jump":
+        scope.freeze_space()
+        jump = p.parse_expr()
+        if _ident(p) != "rate":
+            raise CqfError("expected 'rate' after the jump operator")
+        rate = p.parse_expr()
+        _expect_line_end(p)
+        scope.jumps.append(_operator(jump, "jump must be an operator expression"))
+        if isinstance(rate, QExpr):
+            raise CqfError("rates are c-number expressions")
+        scope.rates.append(rate)
+
+    elif directive == "order":
+        entries = [_count(p)]
+        while p.peek().text == ",":
+            p.next()
+            entries.append(_count(p))
+        _expect_line_end(p)
+        options.order = OrderSpec.of(entries[0] if len(entries) == 1
+                                     else tuple(entries))
+
+    elif directive == "filter":
+        name = _ident(p)
+        if name not in ("none", "phase"):
+            raise CqfError(f"unknown filter preset {name!r}")
+        options.filter_name = name
+        _expect_line_end(p)
+
+    elif directive == "track":
+        while True:
+            options.track.append(_operator(
+                p.parse_expr(), "track entries must be operator products"))
+            if p.peek().text != ",":
+                break
+            p.next()
+        _expect_line_end(p)
+
+    elif directive == "observable":
+        name = _ident(p)
+        p.expect("=")
+        fn = p.peek()
+        if fn.kind == "ident" and fn.text in ("mandel_q", "temperature"):
+            p.next()
+            p.expect("(")
+            mode = p.parse_expr()
+            if not isinstance(mode, QExpr):
+                raise DslError("expected a mode operator", fn.line, fn.column)
+            omega = None
+            if fn.text == "temperature":
+                p.expect(",")
+                omega = _to_float(p.parse_expr())
+            p.expect(")")
+            _expect_line_end(p)
+            options.observables.append(
+                ObservableDef(name, fn.text, mode=mode, omega=omega))
+        else:
+            value = p.parse_expr()
+            _expect_line_end(p)
+            value = _operator(value, "observables are operator expressions "
+                                     "or builtin calls")
+            options.observables.append(ObservableDef(name, "expr", expr=value))
+
+    elif directive == "initial":
+        p.expect("<")
+        value = p.parse_expr()
+        p.expect(">")
+        p.expect("=")
+        number = p.parse_expr()
+        _expect_line_end(p)
+        value = _operator(value, "initial values address operator averages")
+        sym = average_symbol(value.monomial_ops())
+        options.initial[sym] = _to_float(number)
+
+    elif directive == "tspan":
+        t0 = _signed_number(p)
+        t1 = _signed_number(p)
+        _expect_line_end(p)
+        if not t0 < t1:
+            raise CqfError("tspan must satisfy t0 < t1")
+        options.tspan = (t0, t1)
+
+    elif directive == "solver":
+        method = _ident(p)
+        if method not in ("rk4", "rk45"):
+            raise CqfError(f"unknown method {method!r}")
+        options.method = method
+        _expect_line_end(p)
+
+    elif directive in ("dt", "rtol", "atol"):
+        # StepperConfig refuses a value that is not positive
+        setattr(options, directive, _signed_number(p))
+        _expect_line_end(p)
+
+    elif directive == "saveat":
+        options.saveat = _count(p)
+        _expect_line_end(p)
+
+    elif directive == "correlation":
+        a_expr = p.parse_expr()
+        p.expect(",")
+        b_expr = p.parse_expr()
+        _expect_line_end(p)
+        what = "correlation takes two operator products"
+        options.correlation = (_operator(a_expr, what), _operator(b_expr, what))
+
+    elif directive == "cutoff":
+        name = _ident(p)
+        count = _number_tok(p)
+        value = _number(count)
+        _expect_line_end(p)
+        focks = [f.name for f in scope.factors if f.kind == FOCK]
+        if name not in focks:
+            raise CqfError(
+                f"cutoff expects SPACE N with SPACE one of the model's Fock "
+                f"spaces ({', '.join(focks)}), got '{name} {int(value)}'"
+                f": no Fock space {name!r}")
+        options.cutoffs[name] = _positive_integer(value, count)
+
+    elif directive == "oracle_state":
+        name = _ident(p)
+        tok = p.next()
+        if tok.kind not in ("ident", "number"):
+            raise DslError("expected a level label or occupation number",
+                           tok.line, tok.column)
+        options.oracle_state[name] = tok.text
+        _expect_line_end(p)
+
+    else:
+        raise CqfError(f"unknown directive {directive!r}")
+
+
+# -- argument readers ----------------------------------------------------------
 
 
 def _ident(p: _ExprParser) -> str:
@@ -575,12 +541,31 @@ def _number_tok(p: _ExprParser) -> Token:
     return tok
 
 
-def _signed_number(p: _ExprParser) -> Fraction:
+def _count(p: _ExprParser) -> int:
+    tok = _number_tok(p)
+    return _positive_integer(_number(tok), tok)
+
+
+def _positive_integer(value: Fraction, tok: Token) -> int:
+    if value.denominator != 1 or value < 1:
+        raise DslError(f"expected a positive integer, found {tok.text!r}",
+                       tok.line, tok.column)
+    return int(value)
+
+
+def _signed_number(p: _ExprParser) -> float:
     sign = 1
     while p.peek().text == "-":
         p.next()
         sign = -sign
-    return sign * _number(_number_tok(p))
+    return float(sign * _number(_number_tok(p)))
+
+
+def _operator(value, what: str) -> QExpr:
+    """``value`` if it is an operator expression, else the error ``what``."""
+    if not isinstance(value, QExpr):
+        raise CqfError(what)
+    return value
 
 
 def _expect_line_end(p: _ExprParser):
@@ -590,44 +575,41 @@ def _expect_line_end(p: _ExprParser):
                        tok.line, tok.column)
 
 
-def _to_float(value, at: Token) -> float:
-    """A real constant expression as a float, else an error at ``at``."""
+def _to_float(value) -> float:
+    """A real constant expression as a float."""
     if isinstance(value, ScalarExpr) and value.is_number:
         c = value.constant_value()
         if not c.im:
             return float(c.re)
-    raise DslError("expected a real number", at.line, at.column)
+    raise CqfError("expected a real number")
 
 
 # -- pretty printing ---------------------------------------------------------
 
 
 def _dsl_coeff(c) -> str:
-    re_part = f"{c.re.numerator}/{c.re.denominator}" if c.re.denominator != 1 \
-        else str(c.re.numerator)
     if not c.im:
-        return re_part
-    im_part = f"{c.im.numerator}/{c.im.denominator}" if c.im.denominator != 1 \
-        else str(c.im.numerator)
+        return str(c.re)
     if not c.re:
-        return f"{im_part}*im"
+        return f"{c.im}*im"
     sign = "+" if c.im > 0 else "-"
-    im_abs = im_part.lstrip("-")
-    return f"({re_part} {sign} {im_abs}*im)"
+    return f"({c.re} {sign} {abs(c.im)}*im)"
+
+
+def _dsl_sum(pieces: list[str]) -> str:
+    """Printed terms joined by + and -, or 0 for none."""
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(f" - {piece[1:]}" if piece.startswith("-")
+                               else f" + {piece}" for piece in pieces[1:])
 
 
 def dsl_scalar(x: ScalarExpr) -> str:
-    if x.is_zero:
-        return "0"
     parts = []
     for coeff, params, avgs in x.terms:
         if avgs:
             raise DslError("averages cannot appear in a model file", 0, 0)
-        factors = []
-        for p, conjd, n in params:
-            base = p.name
-            factors.extend([base] * n)
-        body = "*".join(factors)
+        body = "*".join(p.name for p, _, n in params for _ in range(n))
         coeff_text = _dsl_coeff(coeff)
         if body and coeff_text == "1":
             piece = body
@@ -638,19 +620,13 @@ def dsl_scalar(x: ScalarExpr) -> str:
         else:
             piece = coeff_text
         parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return _dsl_sum(parts)
 
 
 def dsl_qexpr(x: QExpr, op_names: dict) -> str:
-    if x.is_zero:
-        return "0"
     parts = []
     for ops, coeff in x.terms:
-        names = [op_names[op] for op in ops]
-        body = "*".join(names) if names else "1"
+        body = "*".join(op_names[op] for op in ops) or "1"
         ctext = dsl_scalar(coeff)
         if ctext == "1":
             piece = body
@@ -661,20 +637,32 @@ def dsl_qexpr(x: QExpr, op_names: dict) -> str:
         else:
             piece = f"{ctext}*{body}"
         parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+    return _dsl_sum(parts)
 
 
 def _op_name_table(model: ModelDefinition) -> dict:
+    """Names of the fundamental operators, from single-operator declarations
+    (a ground projector is declared as a sum, 1 minus the other projectors)."""
     table = {}
     for name, expr in model.operators:
-        for ops, _ in expr.terms:
-            if len(ops) == 1:
-                table.setdefault(ops[0], name)
-                table.setdefault(ops[0].adjoint(), name + "'")
+        if len(expr.terms) == 1:
+            (op,), _ = expr.terms[0]
+            table.setdefault(op, name)
+            table.setdefault(op.adjoint(), name + "'")
     return table
+
+
+def _op_declaration(name: str, expr: QExpr, space: ProductSpace) -> str:
+    """The ``op`` line that declares ``expr``."""
+    op = expr.terms[-1][0][0]
+    factor = space.factors[op.subspace]
+    if len(expr.terms) > 1:          # a ground projector, 1 - the other projectors
+        return (f"op {name} = transition({factor.name}, {factor.ground}, "
+                f"{factor.ground})")
+    if op.kind == TRANSITION:
+        return (f"op {name} = transition({factor.name}, {op.i_label}, "
+                f"{op.j_label})")
+    return f"op {name} = {op.kind}({factor.name})"
 
 
 def pretty_print(parsed: ParsedModel) -> str:
@@ -687,21 +675,8 @@ def pretty_print(parsed: ParsedModel) -> str:
         else:
             ground = "" if f.ground == f.levels[0] else f" ground {f.ground}"
             lines.append(f"space {f.name} nlevel {' '.join(f.levels)}{ground}")
-    declared = dict(model.operators)
-    for name in parsed.source_order:
-        expr = declared[name]
-        ops = expr.terms[0][0] if expr.terms and len(expr.terms[0][0]) == 1 else None
-        if ops is None:
-            continue
-        op = ops[0]
-        factor = model.space.factors[op.subspace]
-        if op.kind == "destroy":
-            lines.append(f"op {name} = destroy({factor.name})")
-        elif op.kind == "create":
-            lines.append(f"op {name} = create({factor.name})")
-        else:
-            lines.append(f"op {name} = transition({factor.name}, "
-                         f"{op.i_label}, {op.j_label})")
+    for name, expr in model.operators:
+        lines.append(_op_declaration(name, expr, model.space))
     for param in model.parameters:
         if param.name in options.param_values:
             lines.append(f"param {param.name} = {options.param_values[param.name]:.12g}")

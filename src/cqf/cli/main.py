@@ -259,7 +259,7 @@ def cmd_solve(args) -> int:
     prog = lower(closed)
     bound = prog.bind(params)
     u0 = initial_state(prog.layout, parsed.options.initial)
-    npts = parsed.options.saveat or 1001
+    npts = 1001 if parsed.options.saveat is None else parsed.options.saveat
     saveat = np.linspace(tspan[0], tspan[1], npts)
     traj = integrate(bound, u0, tspan, cfg, saveat=saveat)
 
@@ -307,6 +307,9 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
     if args.tau_points < 2:
         raise CqfError(f"--tau-points expects an integer of at least 2, "
                        f"got '{args.tau_points}'")
+    if args.tau_max is not None and not args.tau_max > 0:
+        raise CqfError(f"--tau-max expects a positive number, "
+                       f"got '{args.tau_max:g}'")
     if parsed.options.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
     a_expr, b_expr = parsed.options.correlation
@@ -402,7 +405,7 @@ def cmd_spectrum(args) -> int:
     columns = [result.omegas, result.values]
     if oracle:
         trunc, rho0 = oracle
-        tau_max = args.tau_max or 60.0
+        tau_max = 60.0 if args.tau_max is None else args.tau_max
         _, s_me, _, _ = me_spectrum(parsed.model, trunc, a_expr, b_expr,
                                     omegas, params=params, rho0=rho0,
                                     tau_max=tau_max,

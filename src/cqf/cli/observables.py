@@ -18,7 +18,7 @@ from ..algebra.averages import average_symbol
 from ..algebra.qexpr import QExpr, qmul
 from ..algebra.render import render_average
 from ..cumulant import expand_scalar
-from ..errors import EvaluationError
+from ..errors import AlgebraError, EvaluationError
 from ..meanfield import average
 from ..numerics.steppers import Trajectory
 
@@ -56,23 +56,27 @@ def evaluate_observables(defs, traj: Trajectory, order, filt,
     return out
 
 
+def _occupation(mode: QExpr, traj: Trajectory, caller: str) -> np.ndarray:
+    """Series of <mode' mode>, else an error naming ``caller``."""
+    n_sym = average_symbol(qmul(mode.dag(), mode).monomial_ops())
+    try:
+        return traj.column(n_sym)
+    except AlgebraError:
+        raise EvaluationError(
+            f"{caller} needs {render_average(n_sym)} in the system") from None
+
+
 def mandel_q(mode: QExpr, traj: Trajectory) -> np.ndarray:
     """Sub-Poissonian statistics witness of a bosonic mode.
 
     Returns NaN where the occupation is numerically zero (vacuum limit).
     """
+    n = _occupation(mode, traj, "mandel_q")
     ad = mode.dag()
-    n_sym = average_symbol(qmul(ad, mode).monomial_ops())
     n4_sym = average_symbol(qmul(qmul(ad, ad), qmul(mode, mode)).monomial_ops())
     try:
-        n = traj.column(n_sym)
-    except Exception:
-        raise EvaluationError(
-            f"mandel_q needs {render_average(n_sym)} in the system"
-        ) from None
-    try:
         n4 = traj.column(n4_sym)
-    except Exception:
+    except AlgebraError:
         raise EvaluationError(
             f"mandel_q needs the fourth-order moment {render_average(n4_sym)}; "
             "derive the system with order >= 4"
@@ -86,14 +90,7 @@ def mandel_q(mode: QExpr, traj: Trajectory) -> np.ndarray:
 
 def temperature(mode: QExpr, omega: float, traj: Trajectory) -> np.ndarray:
     """Occupation of a mode as a temperature in kelvin (omega in 1/s)."""
-    ad = mode.dag()
-    n_sym = average_symbol(qmul(ad, mode).monomial_ops())
-    try:
-        n = traj.column(n_sym)
-    except Exception:
-        raise EvaluationError(
-            f"temperature needs {render_average(n_sym)} in the system"
-        ) from None
+    n = _occupation(mode, traj, "temperature")
     return n.real * HBAR * float(omega) / KB
 
 

@@ -50,6 +50,14 @@ def test_adjoint_examples(laser):
         laser.ad.scale(-1 * I_UNIT * delta)
 
 
+def test_scalar_and_operator_add_in_either_order(laser):
+    n = qmul(laser.ad, laser.a)
+    assert laser.g + n == n + laser.g
+    assert laser.g - n == -n + laser.g
+    assert n - laser.g == n + (-laser.g)
+    assert 2 + n == n + 2
+
+
 def test_space_mismatch_raises(laser):
     other = product(fock("other"))
     b = destroy(other, "b")

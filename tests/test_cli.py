@@ -147,17 +147,205 @@ def test_rational_and_scientific_literals():
     assert rate.re == Fraction(1, 2)
 
 
+_PRELUDE = "space c fock\nspace atom nlevel g e\n"
+_BODY = ("op a = destroy(c)\nop s = transition(atom, g, e)\nparam k = 1\n"
+         "hamiltonian a'*a\n")
+
+# Each line follows the body, as line 7; a space line precedes it, as line 3.
+MALFORMED_LINES = [
+    ('@', "7:1: unexpected character '@'"),
+    ('param x = 1 ! 2', "7:13: unexpected character '!'"),
+    ('3 a', '7:1: a directive keyword must start the line'),
+    ('frobnicate a', "7:1: unknown directive 'frobnicate'"),
+    ('param x = 1.2.3', "7:11: bad number '1.2.3'"),
+    ("track (a'*a", "7:12: expected ')', found 'end of line'"),
+    ("track 2'", '7:8: dagger applies to operators'),
+    ('param x = 3/a', "7:13: expected a number after '/'"),
+    ('param x = 3/0', '7:13: division by zero'),
+    ('track a*)', "7:9: unexpected ')'"),
+    ('track a*', "7:9: unexpected 'end of line'"),
+    ('track b', "7:7: undeclared identifier 'b'"),
+    ('space q', "3:8: expected a name, found 'end of line'"),
+    ('space q qubit', "3:1: unknown space kind 'qubit' (fock or nlevel)"),
+    ('space q nlevel g (', '3:18: expected a level label'),
+    ('space q fock x', "3:14: unexpected 'x' at end of directive"),
+    ('space q nlevel g e ground g x', "3:29: unexpected 'x' at end of directive"),
+    ('space q nlevel g', "3:1: nlevel space 'q' needs at least two levels"),
+    ('space q nlevel g g', "3:1: nlevel space 'q' has duplicate level labels"),
+    ('space q nlevel g e ground f', "3:1: ground level 'f' is not a level of 'q'"),
+    ('space c nlevel g e', '3:1: factor names must be unique within a product space'),
+    ('space q nlevel 1', "3:1: nlevel space 'q' needs at least two levels"),
+    ('space q nlevel', "3:1: nlevel space 'q' needs at least two levels"),
+    ('space q nlevel 0', "3:1: nlevel space 'q' needs at least two levels"),
+    ('space q nlevel ²', "3:1: nlevel space 'q' needs at least two levels"),
+    ('op b destroy(c)', "7:6: expected '=', found 'destroy'"),
+    ('op b = 3', "7:8: expected a name, found '3'"),
+    ('op b = destroy c', "7:16: expected '(', found 'c'"),
+    ('op b = annihilate(c)', "7:1: unknown operator constructor 'annihilate' "
+                             "(destroy, create or transition)"),
+    ('op b = destroy(q)', "7:1: no factor named 'q' in this product space"),
+    ('op b = destroy(atom)', '7:1: subspace 1 is not a bosonic mode'),
+    ('op b = transition(c, g, e)', '7:1: subspace 0 is not a discrete-level system'),
+    ('op b = transition(atom, g, f)',
+     "7:1: space 'atom' has no level 'f' (levels: g, e)"),
+    ('op b = transition(atom, g e)', "7:27: expected ',', found 'e'"),
+    ('op b = destroy(c) x', "7:19: unexpected 'x' at end of directive"),
+    ('op a = destroy(c)', "7:1: operator 'a' declared twice"),
+    ('op k = destroy(c)', "7:1: operator 'k' clashes with parameter 'k'"),
+    ('op b = create(q) x', "7:1: no factor named 'q' in this product space"),
+    ('op s = transition(atom, e, g)', "7:1: operator 's' declared twice"),
+    ('param k', "7:1: parameter 'k' declared twice"),
+    ('param x = a', '7:1: parameter values must be numbers'),
+    ('param x = 4 + im', '7:1: expected a real number'),
+    ('param x 4', "7:9: unexpected '4' at end of directive"),
+    ('param a', "7:1: parameter 'a' clashes with operator 'a'"),
+    ('param s = 2', "7:1: parameter 's' clashes with operator 's'"),
+    ('param im = 2', "7:1: parameter 'im' clashes with the imaginary unit 'im'"),
+    ('op im = destroy(c)', "7:1: operator 'im' clashes with the imaginary unit 'im'"),
+    ('param a = b', "7:1: parameter 'a' clashes with operator 'a'"),
+    ('op a = destroy(q)', "7:1: no factor named 'q' in this product space"),
+    ('hamiltonian', '7:1: empty hamiltonian'),
+    ('hamiltonian k', '7:1: the hamiltonian must be an operator expression'),
+    ("hamiltonian a'*a", '7:1: hamiltonian given twice'),
+    ("hamiltonian a'*a x", "7:18: unexpected 'x' at end of directive"),
+    ('hamiltonian 2 junk', "7:15: unexpected 'junk' at end of directive"),
+    ('jump a', "7:7: expected a name, found 'end of line'"),
+    ('jump a speed k', "7:1: expected 'rate' after the jump operator"),
+    ('jump k rate k', '7:1: jump must be an operator expression'),
+    ('jump a rate a', '7:1: rates are c-number expressions'),
+    ('jump a rate k x', "7:15: unexpected 'x' at end of directive"),
+    ('jump k rate k x', "7:15: unexpected 'x' at end of directive"),
+    ('jump k speed k', "7:1: expected 'rate' after the jump operator"),
+    ('order', "7:6: expected a number, found 'end of line'"),
+    ('order x', "7:7: expected a number, found 'x'"),
+    ('order 2,x', "7:9: expected a number, found 'x'"),
+    ('order 2 3', "7:9: unexpected '3' at end of directive"),
+    ('order 0', "7:7: expected a positive integer, found '0'"),
+    ('order 2.5', "7:7: expected a positive integer, found '2.5'"),
+    ('order -1', "7:7: expected a number, found '-'"),
+    ('order 2,0', "7:9: expected a positive integer, found '0'"),
+    ('order 2,', "7:9: expected a number, found 'end of line'"),
+    ('filter foo', "7:1: unknown filter preset 'foo'"),
+    ('filter phase x', "7:14: unexpected 'x' at end of directive"),
+    ('filter', "7:7: expected a name, found 'end of line'"),
+    ('track k', '7:1: track entries must be operator products'),
+    ('track a, k', '7:1: track entries must be operator products'),
+    ('track a a', "7:9: unexpected 'a' at end of directive"),
+    ('track a,', "7:9: unexpected 'end of line'"),
+    ('track k x', '7:1: track entries must be operator products'),
+    ("observable n a'*a", "7:14: expected '=', found 'a'"),
+    ('observable n = k', '7:1: observables are operator expressions or builtin calls'),
+    ('observable q = mandel_q(k)', '7:16: expected a mode operator'),
+    ('observable q = mandel_q(a', "7:26: expected ')', found 'end of line'"),
+    ('observable T = temperature(a)', "7:29: expected ',', found ')'"),
+    ('observable T = temperature(a, a)', '7:1: expected a real number'),
+    ("observable n = a'*a x", "7:21: unexpected 'x' at end of directive"),
+    ('observable n = k x', "7:18: unexpected 'x' at end of directive"),
+    ('observable q = mandel_q(k x)', '7:16: expected a mode operator'),
+    ("initial a'*a = 1", "7:9: expected '<', found 'a'"),
+    ("initial <a'*a = 1", "7:15: expected '>', found '='"),
+    ("initial <a'*a> 1", "7:16: expected '=', found '1'"),
+    ('initial <k> = 1', '7:1: initial values address operator averages'),
+    ("initial <a + a'> = 1", "7:1: expected a single operator product, not a sum; "
+                             "derive each monomial separately"),
+    ("initial <a'*a> = a", '7:1: expected a real number'),
+    ("initial <a'*a> = 1 x", "7:20: unexpected 'x' at end of directive"),
+    ('initial <k> = 1 x', "7:17: unexpected 'x' at end of directive"),
+    ("initial <a + a'> = x", "7:20: undeclared identifier 'x'"),
+    ('tspan 0', "7:8: expected a number, found 'end of line'"),
+    ('tspan 0 x', "7:9: expected a number, found 'x'"),
+    ('tspan 5 1', '7:1: tspan must satisfy t0 < t1'),
+    ('tspan 1 1', '7:1: tspan must satisfy t0 < t1'),
+    ('tspan 0 1 2', "7:11: unexpected '2' at end of directive"),
+    ('solver euler', "7:1: unknown method 'euler'"),
+    ('solver', "7:7: expected a name, found 'end of line'"),
+    ('solver rk4 x', "7:12: unexpected 'x' at end of directive"),
+    ('dt x', "7:4: expected a number, found 'x'"),
+    ('rtol 1 2', "7:8: unexpected '2' at end of directive"),
+    ('atol', "7:5: expected a number, found 'end of line'"),
+    ('saveat x', "7:8: expected a number, found 'x'"),
+    ('saveat 0', "7:8: expected a positive integer, found '0'"),
+    ('saveat 2.5', "7:8: expected a positive integer, found '2.5'"),
+    ('saveat 10 x', "7:11: unexpected 'x' at end of directive"),
+    ('saveat -3', "7:8: expected a number, found '-'"),
+    ('correlation a', "7:14: expected ',', found 'end of line'"),
+    ('correlation a, k', '7:1: correlation takes two operator products'),
+    ('correlation a, a x', "7:18: unexpected 'x' at end of directive"),
+    ('correlation k, a x', "7:18: unexpected 'x' at end of directive"),
+    ('cutoff atom 3', "7:1: cutoff expects SPACE N with SPACE one of the model's "
+                      "Fock spaces (c), got 'atom 3': no Fock space 'atom'"),
+    ('cutoff c', "7:9: expected a number, found 'end of line'"),
+    ('cutoff c 0', "7:10: expected a positive integer, found '0'"),
+    ('cutoff c 2.5', "7:10: expected a positive integer, found '2.5'"),
+    ('cutoff 3 c', "7:8: expected a name, found '3'"),
+    ('cutoff q 0', "7:1: cutoff expects SPACE N with SPACE one of the model's "
+                   "Fock spaces (c), got 'q 0': no Fock space 'q'"),
+    ('cutoff c 3 x', "7:12: unexpected 'x' at end of directive"),
+    ('oracle_state atom', '7:18: expected a level label or occupation number'),
+    ('oracle_state atom (', '7:19: expected a level label or occupation number'),
+    ('oracle_state atom e x', "7:21: unexpected 'x' at end of directive"),
+    ('oracle_state 3 e', "7:14: expected a name, found '3'"),
+]
+
+
+@pytest.mark.parametrize("line, expected", MALFORMED_LINES,
+                         ids=[line for line, _ in MALFORMED_LINES])
+def test_malformed_model_lines_are_located(line, expected):
+    """Every error names the line and column of what is wrong: a syntax
+    error its token, anything the algebra refuses the directive keyword."""
+    text = (_PRELUDE + line + "\n" + _BODY if line.startswith("space")
+            else _PRELUDE + _BODY + line + "\n")
+    with pytest.raises(DslError) as err:
+        parse_model(text)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("op a = destroy(c)\n", "1:1: declare at least one space first"),
+    ("hamiltonian 1\n", "1:1: declare at least one space first"),
+    ("space c fock\nhamiltonian 1\n",
+     "2:1: the hamiltonian must be an operator expression"),
+    ("space c fock\nop a = destroy(c)\n", "3:1: model has no hamiltonian"),
+])
+def test_model_level_errors_are_located(text, expected):
+    with pytest.raises(DslError) as err:
+        parse_model(text)
+    assert str(err.value) == expected
+
+
+def test_expressions_may_start_with_a_scalar():
+    head = "space c fock\nop a = destroy(c)\nparam w = 2\n"
+    parsed = parse_model(head + "hamiltonian w - a'*a\njump a rate 1\n")
+    direct = parse_model(head + "hamiltonian -a'*a + w\njump a rate 1\n")
+    assert parsed.model == direct.model
+    constant = parse_model(head + "hamiltonian 2 + a'*a\n")
+    # the constant term prints first, and the printout reads back
+    text = pretty_print(constant)
+    assert "hamiltonian 2*1 + a'*a\n" in text
+    assert parse_model(text).model == constant.model
+
+
 def test_parser_round_trip_through_pretty_print():
     with open(LASER_FILE, encoding="utf-8") as fh:
-        parsed = parse_model(fh.read())
-    text = pretty_print(parsed)
-    reparsed = parse_model(text)
-    assert reparsed.model == parsed.model
-    assert reparsed.options.order == parsed.options.order
-    assert reparsed.options.filter_name == parsed.options.filter_name
-    assert reparsed.options.initial == parsed.options.initial
-    assert reparsed.options.tspan == parsed.options.tspan
-    assert pretty_print(reparsed) == text
+        laser = fh.read()
+    # a declared ground projector is 1 - σee: it must print as its own
+    # declaration and must not name σee
+    projector = laser.replace(
+        "op see", "op sgg = transition(atom, g, g)\nop see", 1) \
+        + "observable pg = sgg\n"
+    for source in (laser, projector):
+        parsed = parse_model(source)
+        text = pretty_print(parsed)
+        reparsed = parse_model(text)
+        assert reparsed.model == parsed.model
+        assert reparsed.options.order == parsed.options.order
+        assert reparsed.options.filter_name == parsed.options.filter_name
+        assert reparsed.options.initial == parsed.options.initial
+        assert reparsed.options.tspan == parsed.options.tspan
+        assert reparsed.options.observables == parsed.options.observables
+        assert pretty_print(reparsed) == text
+    assert "op sgg = transition(atom, g, g)\n" in text
+    assert "observable pg = 1 - see\n" in text
 
 
 def test_archive_round_trip_is_byte_identical(laser):
@@ -514,6 +702,10 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("correlate", ["--tau-points", "0"]),
     ("spectrum", ["--no-steady", "--tau-points", "1"]),
     ("spectrum", ["--oracle", "--tau-points", "0"]),
+    ("correlate", ["--tau-max", "0"]),
+    ("correlate", ["--tau-max", "-5"]),
+    ("spectrum", ["--oracle", "--tau-max", "0"]),
+    ("spectrum", ["--no-steady", "--tau-max", "-1"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):

@@ -1,5 +1,6 @@
-"""Source hygiene: no module under src/cqf imports a name it never uses,
-and every function the benchmark's tracer hooks still exists.
+"""Source hygiene: no module under src/cqf imports a name it never uses or
+catches every exception, and every function the benchmark's tracer hooks
+still exists.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -66,6 +67,42 @@ def test_no_unused_imports():
                 if unused:
                     found[os.path.relpath(path, ROOT)] = unused
     assert not found, f"unused imports: {found}"
+
+
+def _catch_alls(path):
+    """Handlers that catch any exception: bare, Exception or BaseException."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and (node.type is None
+                 or any(isinstance(name, ast.Name)
+                        and name.id in ("Exception", "BaseException")
+                        for name in ast.walk(node.type)))]
+
+
+def test_no_catch_all_handlers():
+    """A catch-all turns a bug into whatever error it re-raises; each
+    handler names the errors it expects."""
+    found = {}
+    for folder, _, files in os.walk(ROOT):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                lines = _catch_alls(path)
+                if lines:
+                    found[os.path.relpath(path, ROOT)] = lines
+    assert not found, f"catch-all exception handlers: {found}"
+
+
+def test_catch_all_scan_sees_bare_and_tuple_handlers(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (KeyError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept KeyError:\n    pass\n",
+        encoding="utf-8")
+    assert _catch_alls(path) == [3, 7]
 
 
 def test_scan_sees_annotations_and_attribute_bases(tmp_path):
