@@ -15,8 +15,7 @@ from .algebra import (AverageSymbol, ComplexRational, HilbertSpace, I_UNIT,
                       Parameter, ProductSpace, QExpr, ScalarExpr, adjoint,
                       average_symbol, commutator, correlation_symbol, create,
                       destroy, fock, identity, nlevel, parameters, product,
-                      qmul, scalar_evaluate, scalar_normalize, transition,
-                      zero)
+                      qmul, scalar_evaluate, transition, zero)
 from .completion import (FILTER_NONE, FILTER_PHASE, FilterFunction, complete,
                          filter_by_name, missing_averages)
 from .correlation import (CorrelationSystem, LinearSystem, SpectrumResult,

@@ -8,8 +8,7 @@ from .qexpr import (QExpr, adjoint, append_frozen, commutator, create,
 from .render import (latex_average, latex_scalar, render_average,
                      render_qexpr, render_scalar)
 from .scalars import (CR_I, CR_ONE, CR_ZERO, ComplexRational, I_UNIT,
-                      Parameter, ScalarExpr, parameters, scalar_evaluate,
-                      scalar_normalize)
+                      Parameter, ScalarExpr, parameters, scalar_evaluate)
 from .spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace, fock, nlevel, product
 
 __all__ = [
@@ -21,7 +20,7 @@ __all__ = [
     "latex_average", "latex_scalar", "render_average", "render_qexpr",
     "render_scalar",
     "CR_I", "CR_ONE", "CR_ZERO", "ComplexRational", "I_UNIT", "Parameter",
-    "ScalarExpr", "parameters", "scalar_evaluate", "scalar_normalize",
+    "ScalarExpr", "parameters", "scalar_evaluate",
     "FOCK", "NLEVEL", "HilbertSpace", "ProductSpace", "fock", "nlevel",
     "product",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..errors import AlgebraError, SpaceMismatchError
 from .operators import (CREATE, DESTROY, TRANSITION, FrozenOp, FundamentalOp,
                         adjoint_sequence, seq_key)
-from .scalars import ComplexRational, ScalarExpr
+from .scalars import ComplexRational, ScalarExpr, collect
 from .spaces import FOCK, NLEVEL, ProductSpace
 
 _ONE_EXPR = ScalarExpr.one()
@@ -216,11 +216,7 @@ class QExpr:
         self._check_space(other)
         acc: dict = {}
         for ops, coeff in self.terms + other.terms:
-            slot = acc.setdefault(ops, {})
-            for c, params, avgs in coeff.terms:
-                key = (params, avgs)
-                prev = slot.get(key)
-                slot[key] = c if prev is None else prev + c
+            collect(acc.setdefault(ops, {}), coeff.terms)
         return QExpr._from_dict(self.space, acc)
 
     __radd__ = __add__
@@ -276,12 +272,7 @@ def qmul(lhs: QExpr, rhs: QExpr) -> QExpr:
             if coeff.is_zero:
                 continue
             for w, ops in mul_sequences(space, ops1, ops2):
-                slot = acc.setdefault(ops, {})
-                for c, params, avgs in coeff.terms:
-                    key = (params, avgs)
-                    add = c * w
-                    prev = slot.get(key)
-                    slot[key] = add if prev is None else prev + add
+                collect(acc.setdefault(ops, {}), coeff.terms, w)
     return QExpr._from_dict(space, acc)
 
 
@@ -291,12 +282,7 @@ def adjoint(x: QExpr) -> QExpr:
     for ops, coeff in x.terms:
         cc = coeff.conj()
         for w, new_ops in normalize_sequence(x.space, adjoint_sequence(ops)):
-            slot = acc.setdefault(new_ops, {})
-            for c, params, avgs in cc.terms:
-                key = (params, avgs)
-                add = c * w
-                prev = slot.get(key)
-                slot[key] = add if prev is None else prev + add
+            collect(acc.setdefault(new_ops, {}), cc.terms, w)
     return QExpr._from_dict(x.space, acc)
 
 
@@ -337,7 +323,8 @@ def transition(space: ProductSpace, name: str, i_label: str, j_label: str,
                subspace=None) -> QExpr:
     """|i><j| on a discrete subsystem.
 
-    The ground projector is rewritten immediately: asking for |g><g| returns
+    The ground projector is rewritten immediately, by the completeness
+    relation of :func:`normalize_sequence`: asking for |g><g| returns
     ``1 - sum of the remaining projectors``.
     """
     idx = space.only(NLEVEL) if subspace is None else space.index(subspace)
@@ -346,16 +333,9 @@ def transition(space: ProductSpace, name: str, i_label: str, j_label: str,
         raise AlgebraError(f"subspace {idx} is not a discrete-level system")
     i = factor.level_index(str(i_label))
     j = factor.level_index(str(j_label))
-    g = factor.ground_index
-    if i == g and j == g:
-        out = identity(space)
-        for m in range(factor.dim):
-            if m == g:
-                continue
-            op = FundamentalOp(TRANSITION, idx, name, m, m,
-                               factor.levels[m], factor.levels[m])
-            out = out + QExpr(space, (((op,), _ONE_EXPR),)).scale(-1)
-        return out
     op = FundamentalOp(TRANSITION, idx, name, i, j,
                        factor.levels[i], factor.levels[j])
-    return QExpr(space, (((op,), _ONE_EXPR),))
+    acc: dict = {}
+    for w, ops in normalize_sequence(space, (op,)):
+        collect(acc.setdefault(ops, {}), _ONE_EXPR.terms, w)
+    return QExpr._from_dict(space, acc)

@@ -26,6 +26,26 @@ def _frac_latex(q: Fraction) -> str:
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
+def join_signed(pieces) -> str:
+    """Printed terms joined by `` + `` and `` - ``, or 0 for none."""
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(f" - {piece[1:]}" if piece.startswith("-")
+                               else f" + {piece}" for piece in pieces[1:])
+
+
+def scaled(coeff: str, body: str, sep: str = "*") -> str:
+    """A printed coefficient times a printed body: a unit coefficient prints
+    as a sign, and an empty body leaves the coefficient."""
+    if not body:
+        return coeff
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return "-" + body
+    return f"{coeff}{sep}{body}"
+
+
 def render_coefficient(c: ComplexRational) -> str:
     if not c.im:
         return _frac(c.re)
@@ -68,52 +88,20 @@ def _render_term(coeff: ComplexRational, params, avgs) -> str:
     for s, n in avgs:
         base = render_average(s)
         factors.append(base if n == 1 else f"{base}^{n}")
-    body = "*".join(factors)
-    if not body:
-        return render_coefficient(coeff)
-    if coeff == ComplexRational(1):
-        return body
-    if coeff == ComplexRational(-1):
-        return "-" + body
-    return f"{render_coefficient(coeff)}*{body}"
+    return scaled(render_coefficient(coeff), "*".join(factors))
 
 
 def render_scalar(x: ScalarExpr) -> str:
-    if x.is_zero:
-        return "0"
-    parts = []
-    for coeff, params, avgs in x.terms:
-        piece = _render_term(coeff, params, avgs)
-        if not parts:
-            parts.append(piece)
-        elif piece.startswith("-"):
-            parts.append(" - " + piece[1:])
-        else:
-            parts.append(" + " + piece)
-    return "".join(parts)
+    return join_signed([_render_term(*term) for term in x.terms])
 
 
 def render_qexpr(x) -> str:
-    if x.is_zero:
-        return "0"
-    parts = []
+    pieces = []
     for ops, coeff in x.terms:
-        opstr = render_ops(ops) if ops else "1"
-        if coeff == ScalarExpr.one():
-            piece = opstr
-        elif len(coeff.terms) == 1:
-            c = render_scalar(coeff)
-            piece = opstr if c == "1" else (f"-{opstr}" if c == "-1"
-                                            else f"{c}*{opstr}" if ops else c)
-        else:
-            piece = f"({render_scalar(coeff)})*{opstr}" if ops else f"({render_scalar(coeff)})"
-        if not parts:
-            parts.append(piece)
-        elif piece.startswith("-"):
-            parts.append(" - " + piece[1:])
-        else:
-            parts.append(" + " + piece)
-    return "".join(parts)
+        c = render_scalar(coeff)
+        pieces.append(scaled(c if len(coeff.terms) == 1 else f"({c})",
+                             render_ops(ops)))
+    return join_signed(pieces)
 
 
 # -- LaTeX ------------------------------------------------------------------
@@ -151,9 +139,7 @@ def latex_coefficient(c: ComplexRational) -> str:
 
 
 def latex_scalar(x: ScalarExpr) -> str:
-    if x.is_zero:
-        return "0"
-    parts = []
+    pieces = []
     for coeff, params, avgs in x.terms:
         factors = []
         for p, conjd, n in params:
@@ -162,19 +148,5 @@ def latex_scalar(x: ScalarExpr) -> str:
         for s, n in avgs:
             base = latex_average(s)
             factors.append(base if n == 1 else f"{base}^{{{n}}}")
-        body = " ".join(factors)
-        if not body:
-            piece = latex_coefficient(coeff)
-        elif coeff == ComplexRational(1):
-            piece = body
-        elif coeff == ComplexRational(-1):
-            piece = "-" + body
-        else:
-            piece = f"{latex_coefficient(coeff)} {body}"
-        if not parts:
-            parts.append(piece)
-        elif piece.startswith("-"):
-            parts.append(" - " + piece[1:])
-        else:
-            parts.append(" + " + piece)
-    return "".join(parts)
+        pieces.append(scaled(latex_coefficient(coeff), " ".join(factors), " "))
+    return join_signed(pieces)

@@ -5,6 +5,14 @@ exact Gaussian-rational coefficient, a monomial in named parameters, and a
 monomial in average symbols.  Two terms never share the same monomial
 signature and zero terms are dropped, so equal expressions compare equal
 structurally.  Floating point enters only through :meth:`ScalarExpr.evaluate`.
+
+The normal form has one owner.  :func:`collect` adds terms into a map from
+monomial to coefficient, merging equal monomials, and
+``ScalarExpr._from_dict`` drops the zero coefficients and sorts what is
+left; every sum and product here, and every operator sum and product in
+:mod:`.qexpr`, goes through the pair.  Other modules build expressions only
+through the public API: :meth:`ScalarExpr.sum` adds many expressions and
+normalizes once, and :meth:`ScalarExpr.from_terms` normalizes raw terms.
 """
 
 from __future__ import annotations
@@ -132,6 +140,18 @@ class Parameter:
 # The monomial (params, avgs) is the dict key during accumulation.
 
 
+def collect(acc: dict, terms, weight: ComplexRational | None = None) -> dict:
+    """Add ``(coeff, params, avgs)`` terms, each times ``weight`` if given,
+    into ``acc``, a map from monomial ``(params, avgs)`` to coefficient."""
+    for coeff, params, avgs in terms:
+        if weight is not None:
+            coeff = coeff * weight
+        key = (params, avgs)
+        prev = acc.get(key)
+        acc[key] = coeff if prev is None else prev + coeff
+    return acc
+
+
 def _term_sort_key(term):
     _, params, avgs = term
     return (len(avgs), tuple((s.sort_key, p) for s, p in avgs),
@@ -149,10 +169,25 @@ class ScalarExpr:
 
     @staticmethod
     def _from_dict(d: dict) -> "ScalarExpr":
+        """The expression of a :func:`collect` map: zeros dropped, terms sorted."""
         items = [(coeff, params, avgs)
                  for (params, avgs), coeff in d.items() if not coeff.is_zero]
         items.sort(key=_term_sort_key)
         return ScalarExpr(tuple(items))
+
+    @staticmethod
+    def from_terms(terms) -> "ScalarExpr":
+        """The normalized sum of ``(coeff, params, avgs)`` terms whose factor
+        tuples are sorted; monomials may repeat."""
+        return ScalarExpr._from_dict(collect({}, terms))
+
+    @staticmethod
+    def sum(exprs) -> "ScalarExpr":
+        """The sum of scalar expressions, normalized once."""
+        acc: dict = {}
+        for x in exprs:
+            collect(acc, x.terms)
+        return ScalarExpr._from_dict(acc)
 
     @staticmethod
     def zero() -> "ScalarExpr":
@@ -242,11 +277,7 @@ class ScalarExpr:
         if self.is_zero:
             return other
         d = {(params, avgs): coeff for coeff, params, avgs in self.terms}
-        for coeff, params, avgs in other.terms:
-            key = (params, avgs)
-            prev = d.get(key)
-            d[key] = coeff if prev is None else prev + coeff
-        return ScalarExpr._from_dict(d)
+        return ScalarExpr._from_dict(collect(d, other.terms))
 
     __radd__ = __add__
 
@@ -268,14 +299,9 @@ class ScalarExpr:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return _ZERO
-        d: dict = {}
-        for c1, p1, a1 in self.terms:
-            for c2, p2, a2 in other.terms:
-                key = (_merge_pow(p1, p2, _param_key), _merge_pow(a1, a2, _avg_key))
-                coeff = c1 * c2
-                prev = d.get(key)
-                d[key] = coeff if prev is None else prev + coeff
-        return ScalarExpr._from_dict(d)
+        return ScalarExpr.from_terms([
+            (c1 * c2, _merge_pow(p1, p2, _param_key), _merge_pow(a1, a2, _avg_key))
+            for c1, p1, a1 in self.terms for c2, p2, a2 in other.terms])
 
     __rmul__ = __mul__
 
@@ -298,16 +324,12 @@ class ScalarExpr:
         return out
 
     def conj(self) -> "ScalarExpr":
-        d: dict = {}
-        for coeff, params, avgs in self.terms:
-            new_params = tuple(sorted(((p, (not c) if not p.real else False, n)
-                                       for p, c, n in params), key=_param_key))
-            new_avgs = tuple(sorted(((s.conj(), n) for s, n in avgs), key=_avg_key))
-            key = (new_params, new_avgs)
-            cc = coeff.conjugate()
-            prev = d.get(key)
-            d[key] = cc if prev is None else prev + cc
-        return ScalarExpr._from_dict(d)
+        return ScalarExpr.from_terms([
+            (coeff.conjugate(),
+             tuple(sorted(((p, (not c) if not p.real else False, n)
+                           for p, c, n in params), key=_param_key)),
+             tuple(sorted(((s.conj(), n) for s, n in avgs), key=_avg_key)))
+            for coeff, params, avgs in self.terms])
 
     # the numeric name, so that AverageSymbol.orient conjugates expressions too
     conjugate = conj
@@ -338,7 +360,7 @@ class ScalarExpr:
         """
         avg_map = family_values({s: ScalarExpr.number(rep)
                                  for s, rep in avg_map.items()})
-        out = _ZERO
+        parts = []
         for coeff, pfac, afac in self.terms:
             term = ScalarExpr(((coeff, pfac, ()),))
             for s, n in afac:
@@ -346,8 +368,8 @@ class ScalarExpr:
                 factor = (ScalarExpr.from_average(s) if rep is None
                           else s.orient(rep))
                 term = term * factor**n
-            out = out + term
-        return out
+            parts.append(term)
+        return ScalarExpr.sum(parts)
 
 
 def term_value(coeff: ComplexRational, pfac, afac, params: dict,
@@ -421,16 +443,6 @@ def parameters(names: str, real: bool = True) -> tuple[ScalarExpr, ...]:
     """Declare parameters from a whitespace-separated name list."""
     return tuple(ScalarExpr.from_parameter(Parameter(n, real))
                  for n in names.split())
-
-
-def scalar_normalize(x: ScalarExpr) -> ScalarExpr:
-    """Re-normalize an expression (idempotent; construction already normalizes)."""
-    d: dict = {}
-    for coeff, params, avgs in x.terms:
-        key = (params, avgs)
-        prev = d.get(key)
-        d[key] = coeff if prev is None else prev + coeff
-    return ScalarExpr._from_dict(d)
 
 
 def scalar_evaluate(x: ScalarExpr, params: dict | None = None,

@@ -19,7 +19,7 @@ from ..algebra.scalars import ComplexRational, Parameter, ScalarExpr
 from ..algebra.spaces import HilbertSpace, ProductSpace
 from ..completion import FILTER_NONE, FILTER_PHASE, filter_by_name
 from ..cumulant import OrderSpec
-from ..errors import ArchiveError
+from ..errors import AlgebraError, ArchiveError
 from ..meanfield import EquationSet, MeanfieldEquation
 
 FORMAT = "cqf-equations-1"
@@ -127,18 +127,21 @@ def deserialize(text: str) -> EquationSet:
     params = [Parameter(e["name"], e["real"]) for e in doc["parameters"]]
     alphabet = [_rebuild_op(e, space) for e in doc["alphabet"]]
     order_doc = doc["order"]
-    if "uniform" in order_doc:
-        order = OrderSpec(uniform=order_doc["uniform"])
-    else:
-        order = OrderSpec(per_subspace=tuple(order_doc["per_subspace"]),
-                          reducer=order_doc["reducer"])
+    try:
+        if "uniform" in order_doc:
+            order = OrderSpec(uniform=order_doc["uniform"])
+        else:
+            order = OrderSpec(per_subspace=tuple(order_doc["per_subspace"]),
+                              reducer=order_doc["reducer"]).for_space(space)
+    except AlgebraError as err:
+        raise ArchiveError(f"bad archive order: {err}") from None
     filt = None if doc["filter"] == "none" else filter_by_name(doc["filter"])
 
     equations = []
     for entry in doc["equations"]:
         ops_idx, conjd = entry["lhs"]
         lhs = AverageSymbol(tuple(alphabet[k] for k in ops_idx), bool(conjd))
-        acc: dict = {}
+        terms = []
         for coeff_entry, param_entries, avg_entries in entry["rhs"]:
             ren, red, imn, imd = coeff_entry
             coeff = ComplexRational(Fraction(ren, red), Fraction(imn, imd))
@@ -149,9 +152,8 @@ def deserialize(text: str) -> EquationSet:
                 tuple(alphabet[i] for i in ops), bool(c)), power)
                 for ops, c, power in avg_entries),
                 key=lambda e: e[0].sort_key))
-            key = (pfac, afac)
-            acc[key] = acc.get(key, ComplexRational(0)) + coeff
-        equations.append(MeanfieldEquation(lhs, ScalarExpr._from_dict(acc)))
+            terms.append((coeff, pfac, afac))
+        equations.append(MeanfieldEquation(lhs, ScalarExpr.from_terms(terms)))
     from ..meanfield import ModelDefinition
     from ..algebra.qexpr import zero
 

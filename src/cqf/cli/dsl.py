@@ -26,12 +26,13 @@ Hamiltonian, the decay channels, and run options.  Example::
     track a'*a
     tspan 0 20
 
-Expressions support +, -, *, parentheses, the dagger suffix ', the
-imaginary unit ``im``, integers, rationals (3/4) and decimals; a term may
-be a scalar (``w - a'*a``).  Level labels live in their space declaration
-and never collide with identifiers.  Spaces must be declared before the
-first operator; every name must be declared once, before use.  Counts
-(order, saveat, cutoff) are positive integers and tspan needs t0 < t1.
+Expressions support +, -, *, parentheses nested at most ``MAX_NESTING``
+deep, the dagger suffix ', the imaginary unit ``im``, integers, rationals
+(3/4) and decimals; a term may be a scalar (``w - a'*a``).  Level labels
+live in their space declaration and never collide with identifiers.  Spaces
+must be declared before the first operator; every name must be declared
+once, before use.  Counts (order, saveat, cutoff) are positive integers, an
+order vector has one entry per space, and tspan needs t0 < t1.
 
 All errors carry a line and column: a syntax error points at its token,
 and whatever the algebra refuses (a space with one level, an unknown
@@ -47,6 +48,7 @@ from fractions import Fraction
 from ..algebra.averages import average_symbol
 from ..algebra.operators import TRANSITION
 from ..algebra.qexpr import QExpr, create, destroy, transition
+from ..algebra.render import join_signed, render_op, scaled
 from ..algebra.scalars import I_UNIT, Parameter, ScalarExpr
 from ..algebra.spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace, fock, nlevel
 from ..cumulant import OrderSpec
@@ -54,6 +56,9 @@ from ..errors import CqfError, DslError
 from ..meanfield import ModelDefinition
 
 _PUNCT = {"+", "-", "*", "(", ")", "'", ",", "/", "<", ">", "="}
+
+# Parentheses may nest this deep, well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass
@@ -156,6 +161,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.scope = scope
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -191,10 +197,12 @@ class _ExprParser:
         return value
 
     def parse_unary(self):
-        if self.peek().text == "-":
+        negate = False
+        while self.peek().text == "-":
             self.next()
-            return -self.parse_unary()
-        return self.parse_postfix()
+            negate = not negate
+        value = self.parse_postfix()
+        return -value if negate else value
 
     def parse_postfix(self):
         value = self.parse_primary()
@@ -220,8 +228,13 @@ class _ExprParser:
                 value = value / d
             return ScalarExpr.number(value)
         if tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise DslError(f"parentheses nest deeper than {MAX_NESTING}",
+                               tok.line, tok.column)
+            self.depth += 1
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if tok.kind == "ident":
             if tok.text == "im":
@@ -276,6 +289,7 @@ class _Scope:
 def parse_model(text: str) -> ParsedModel:
     scope = _Scope()
     lines = text.splitlines()
+    order_head = None
     for line_no, raw in enumerate(lines, start=1):
         tokens = _tokenize_line(raw, line_no)
         head = tokens[0]
@@ -284,6 +298,8 @@ def parse_model(text: str) -> ParsedModel:
         if head.kind != "ident":
             raise DslError("a directive keyword must start the line",
                            head.line, head.column)
+        if head.text == "order":
+            order_head = head
         try:
             _read_directive(head.text, _ExprParser(tokens[1:], scope), scope)
         except DslError:
@@ -294,6 +310,12 @@ def parse_model(text: str) -> ParsedModel:
             raise DslError(str(err), head.line, head.column) from None
     if scope.hamiltonian is None:
         raise DslError("model has no hamiltonian", len(lines) + 1, 1)
+    if scope.options.order is not None:
+        # spaces may follow the order line, so its length is checked here
+        try:
+            scope.options.order.for_space(scope.space)
+        except CqfError as err:
+            raise DslError(str(err), order_head.line, order_head.column) from None
     model = ModelDefinition.create(
         scope.space, scope.hamiltonian, scope.jumps, scope.rates,
         parameters=tuple(scope.params[k] for k in sorted(scope.params)),
@@ -596,48 +618,24 @@ def _dsl_coeff(c) -> str:
     return f"({c.re} {sign} {abs(c.im)}*im)"
 
 
-def _dsl_sum(pieces: list[str]) -> str:
-    """Printed terms joined by + and -, or 0 for none."""
-    if not pieces:
-        return "0"
-    return pieces[0] + "".join(f" - {piece[1:]}" if piece.startswith("-")
-                               else f" + {piece}" for piece in pieces[1:])
-
-
 def dsl_scalar(x: ScalarExpr) -> str:
-    parts = []
+    pieces = []
     for coeff, params, avgs in x.terms:
         if avgs:
             raise DslError("averages cannot appear in a model file", 0, 0)
         body = "*".join(p.name for p, _, n in params for _ in range(n))
-        coeff_text = _dsl_coeff(coeff)
-        if body and coeff_text == "1":
-            piece = body
-        elif body and coeff_text == "-1":
-            piece = "-" + body
-        elif body:
-            piece = f"{coeff_text}*{body}"
-        else:
-            piece = coeff_text
-        parts.append(piece)
-    return _dsl_sum(parts)
+        pieces.append(scaled(_dsl_coeff(coeff), body))
+    return join_signed(pieces)
 
 
 def dsl_qexpr(x: QExpr, op_names: dict) -> str:
-    parts = []
+    pieces = []
     for ops, coeff in x.terms:
-        body = "*".join(op_names[op] for op in ops) or "1"
+        body = _op_names(ops, op_names, x.space) or "1"
         ctext = dsl_scalar(coeff)
-        if ctext == "1":
-            piece = body
-        elif ctext == "-1":
-            piece = "-" + body
-        elif "+" in ctext or (" - " in ctext):
-            piece = f"({ctext})*{body}"
-        else:
-            piece = f"{ctext}*{body}"
-        parts.append(piece)
-    return _dsl_sum(parts)
+        pieces.append(scaled(f"({ctext})" if "+" in ctext or " - " in ctext
+                             else ctext, body))
+    return join_signed(pieces)
 
 
 def _op_name_table(model: ModelDefinition) -> dict:
@@ -652,17 +650,36 @@ def _op_name_table(model: ModelDefinition) -> dict:
     return table
 
 
-def _op_declaration(name: str, expr: QExpr, space: ProductSpace) -> str:
-    """The ``op`` line that declares ``expr``."""
-    op = expr.terms[-1][0][0]
+def _op_names(ops, table: dict, space: ProductSpace) -> str:
+    """The product ``ops`` in declared names; a factor without one is refused
+    with the ``op`` line that would name it."""
+    names = []
+    for op in ops:
+        if op not in table:
+            raise CqfError(
+                f"{render_op(op)} has no name in this model; declare it with "
+                f"'{_op_line('NAME', op, space)}' to print the model")
+        names.append(table[op])
+    return "*".join(names)
+
+
+def _op_line(name: str, op, space: ProductSpace) -> str:
+    """The ``op`` line that declares the fundamental operator ``op``."""
     factor = space.factors[op.subspace]
-    if len(expr.terms) > 1:          # a ground projector, 1 - the other projectors
-        return (f"op {name} = transition({factor.name}, {factor.ground}, "
-                f"{factor.ground})")
     if op.kind == TRANSITION:
         return (f"op {name} = transition({factor.name}, {op.i_label}, "
                 f"{op.j_label})")
     return f"op {name} = {op.kind}({factor.name})"
+
+
+def _op_declaration(name: str, expr: QExpr, space: ProductSpace) -> str:
+    """The ``op`` line that declares ``expr``."""
+    op = expr.terms[-1][0][0]
+    if len(expr.terms) > 1:          # a ground projector, 1 - the other projectors
+        factor = space.factors[op.subspace]
+        return (f"op {name} = transition({factor.name}, {factor.ground}, "
+                f"{factor.ground})")
+    return _op_line(name, op, space)
 
 
 def pretty_print(parsed: ParsedModel) -> str:
@@ -704,7 +721,7 @@ def pretty_print(parsed: ParsedModel) -> str:
             lines.append(f"observable {obs.name} = temperature("
                          f"{dsl_qexpr(obs.mode, table)}, {obs.omega:.12g})")
     for sym, value in sorted(options.initial.items(), key=lambda kv: kv[0].sort_key):
-        names = "*".join(table[op] for op in sym.factors)
+        names = _op_names(sym.factors, table, model.space)
         lines.append(f"initial <{names}> = {value:.12g}")
     if options.tspan is not None:
         lines.append(f"tspan {options.tspan[0]:.12g} {options.tspan[1]:.12g}")

@@ -146,10 +146,9 @@ def initial_values(cs: CorrelationSystem, state) -> np.ndarray:
         sym = eq.lhs
         try:
             if sym.is_correlation:
-                prod = ScalarExpr.zero()
-                for coeff, ops in mul_sequences(space, sym.ops, sym.b_ops):
-                    term = average(QExpr(space, ((ops, ScalarExpr.one()),)))
-                    prod = prod + term * coeff
+                prod = ScalarExpr.sum(
+                    average(QExpr(space, ((ops, ScalarExpr.one()),))) * coeff
+                    for coeff, ops in mul_sequences(space, sym.ops, sym.b_ops))
                 expanded = expand_scalar(prod, cs.base.order, cs.base.filter)
                 y0[k] = expanded.evaluate(averages=state_map)
             else:

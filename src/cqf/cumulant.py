@@ -108,6 +108,17 @@ class OrderSpec:
             return OrderSpec(uniform=order)
         return OrderSpec(per_subspace=tuple(order))
 
+    def for_space(self, space) -> "OrderSpec":
+        """This spec, refused if its per-factor vector does not give one
+        order for each factor of ``space``."""
+        n = len(space.factors)
+        if self.per_subspace is not None and len(self.per_subspace) != n:
+            raise AlgebraError(
+                f"the order vector has {len(self.per_subspace)} entries but "
+                f"the model has {n} factors"
+            )
+        return self
+
     @property
     def maximum(self) -> int:
         if self.uniform is not None:
@@ -192,7 +203,7 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
         first = next(i for i, k in enumerate(v) if k)
         ranges = [range(k + 1) for k in v]
         ranges[first] = range(1, v[first] + 1)
-        total = ScalarExpr.zero()
+        parts = []
         for u in itertools.product(*ranges):
             if u == v:
                 continue
@@ -205,8 +216,8 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
             weight = math.comb(v[first] - 1, u[first] - 1) * math.prod(
                 map(math.comb, v[first + 1:], u[first + 1:]))
             term = k_u * rest
-            total = total + (term if weight == 1 else term * weight)
-        return total
+            parts.append(term if weight == 1 else term * weight)
+        return ScalarExpr.sum(parts)
 
     return split(tuple(k for _, k in runs))
 
@@ -292,14 +303,14 @@ def expand_scalar(x: ScalarExpr, order, filt=None) -> ScalarExpr:
         with expansion_memo():
             return expand_scalar(x, order, filt)
     spec = OrderSpec.of(order)
-    out = ScalarExpr.zero()
+    parts = []
     for coeff, params, avgs in x.terms:
         term = ScalarExpr(((coeff, params, ()),))
         for sym, power in avgs:
             e = expand_average(sym, spec, filt)
             if e.is_zero:
-                term = ScalarExpr.zero()
                 break
             term = term * e**power
-        out = out + term
-    return out
+        else:
+            parts.append(term)
+    return ScalarExpr.sum(parts)

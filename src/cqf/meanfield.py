@@ -79,11 +79,8 @@ def average(x: QExpr) -> ScalarExpr:
 
     Every monomial becomes its average symbol (see :func:`average_symbol`).
     """
-    out = ScalarExpr.zero()
-    for ops, coeff in x.terms:
-        out = out + (coeff * ScalarExpr.from_average(average_symbol(ops))
-                     if ops else coeff)
-    return out
+    return ScalarExpr.sum(coeff * ScalarExpr.from_average(average_symbol(ops))
+                          if ops else coeff for ops, coeff in x.terms)
 
 
 def qle_rhs(O: QExpr, model: ModelDefinition) -> QExpr:
@@ -182,7 +179,7 @@ def meanfield_derive(ops, model: ModelDefinition, order,
     whose averages share a representative with one already derived are
     skipped, keeping left-hand sides pairwise distinct.
     """
-    spec = OrderSpec.of(order)
+    spec = OrderSpec.of(order).for_space(model.space)
     seen: set[AverageSymbol] = set()
     equations = []
     for op in ops:

@@ -11,11 +11,11 @@ from cqf import (FilterFunction, StepperConfig, Trajectory, average_symbol,
                  complete, meanfield_derive, qmul)
 from cqf.cli import (deserialize, load, parse_model, pretty_print, save,
                      serialize)
-from cqf.cli.dsl import ObservableDef
+from cqf.cli.dsl import MAX_NESTING, ObservableDef
 from cqf.cli import main as main_mod
 from cqf.cli.main import main
 from cqf.cli.observables import mandel_q, occupation_to_kelvin, temperature
-from cqf.errors import ArchiveError, DslError, EvaluationError
+from cqf.errors import AlgebraError, ArchiveError, CqfError, DslError, EvaluationError
 
 LASER_FILE = os.path.join(os.path.dirname(__file__), "..", "models",
                           "laser.cqm")
@@ -660,6 +660,87 @@ def test_mixed_order_line_parses():
     parsed = parse_model(text)
     assert parsed.options.order.per_subspace == (2, 1)
     assert parsed.options.order.reducer == "max"
+
+
+_TWO_FACTORS = ("space c fock\nspace atom nlevel g e\nop a = destroy(c)\n"
+                "op s = transition(atom, g, e)\nparam w = 1\n"
+                "hamiltonian w*a'*a\njump a rate w\ntrack a'*a\n")
+_ORDER_COUNTS = "the order vector has 3 entries but the model has 2 factors"
+
+
+def test_order_vector_must_match_the_factors_in_a_model_file():
+    with pytest.raises(DslError) as err:
+        parse_model(_TWO_FACTORS + "order 2,1,1\n")
+    assert str(err.value) == f"9:1: {_ORDER_COUNTS}"
+    # the spaces may follow the order line; the error stays at that line
+    with pytest.raises(DslError) as err:
+        parse_model("order 2,1,1\n" + _TWO_FACTORS)
+    assert str(err.value) == f"1:1: {_ORDER_COUNTS}"
+
+
+def test_order_vector_must_match_the_factors_in_the_library():
+    parsed = parse_model(_TWO_FACTORS)
+    seeds = parsed.options.track
+    for order, entries in (((2, 1, 1), 3), ((2,), 1)):
+        with pytest.raises(AlgebraError) as err:
+            meanfield_derive(seeds, parsed.model, order)
+        assert str(err.value) == (f"the order vector has {entries} entries "
+                                  "but the model has 2 factors")
+    assert len(meanfield_derive(seeds, parsed.model, (2, 1))) == 1
+
+
+def test_order_vector_must_match_the_factors_on_the_command_line(tmp_path,
+                                                                 capsys):
+    path = tmp_path / "two.cqm"
+    path.write_text(_TWO_FACTORS, encoding="utf-8")
+    assert main(["derive", str(path), "--order", "2,1,1"]) == 1
+    assert capsys.readouterr().err == f"error: {_ORDER_COUNTS}\n"
+
+
+def test_archive_refuses_an_order_vector_of_the_wrong_length(laser):
+    closed = complete(meanfield_derive([qmul(laser.ad, laser.a)], laser.model,
+                                       (2, 2), None))
+    doc = json.loads(serialize(closed))
+    assert deserialize(json.dumps(doc)).order == closed.order
+    doc["order"]["per_subspace"] = [2, 1, 1]
+    with pytest.raises(ArchiveError, match=_ORDER_COUNTS):
+        deserialize(json.dumps(doc))
+
+
+def test_parentheses_nest_up_to_the_bound():
+    head = "space c fock\nop a = destroy(c)\nhamiltonian "
+    plain = parse_model(head + "a'*a\n").model
+    n = MAX_NESTING
+    assert parse_model(head + "(" * n + "a'*a" + ")" * n + "\n").model == plain
+    with pytest.raises(DslError) as err:
+        parse_model(head + "(" * (n + 1) + "a'*a" + ")" * (n + 1) + "\n")
+    # located at the first parenthesis past the bound
+    assert str(err.value) == f"3:{len('hamiltonian ') + n + 1}: parentheses " \
+        f"nest deeper than {n}"
+
+
+def test_many_leading_minus_signs_parse():
+    head = "space c fock\nop a = destroy(c)\nhamiltonian "
+    plain = parse_model(head + "a'*a\n").model.hamiltonian
+    assert parse_model(head + "-" * 5000 + "a'*a\n").model.hamiltonian == plain
+    assert parse_model(head + "-" * 5001 + "a'*a\n").model.hamiltonian == -plain
+
+
+def test_pretty_print_names_an_undeclared_projector():
+    """The ground projector prints as 1 - σee, so σee needs a name."""
+    text = ("space c fock\nspace atom nlevel g e\nop a = destroy(c)\n"
+            "op sgg = transition(atom, g, g)\nhamiltonian a'*a + sgg\n")
+    with pytest.raises(CqfError) as err:
+        pretty_print(parse_model(text))
+    assert str(err.value) == (
+        "σee has no name in this model; declare it with "
+        "'op NAME = transition(atom, e, e)' to print the model")
+    named = parse_model(text.replace("hamiltonian",
+                                     "op see = transition(atom, e, e)\n"
+                                     "hamiltonian"))
+    printed = pretty_print(named)
+    assert "hamiltonian 1 - see + a'*a\n" in printed
+    assert parse_model(printed).model == named.model
 
 
 def test_cli_reports_dsl_errors(tmp_path, capsys):

@@ -16,7 +16,8 @@ over-order products are long and full of repeated factors: its archives at
 orders 6 and 8, and the rendered order-8 <a'(t+tau) a(t)> delay system.
 Delay systems in which the single-time averages are co-evolved, and the
 optomechanical one whose coherent drive adds delay-constant <B(t)> rows,
-are pinned by digest as well.
+are pinned by digest as well, and so are printed forms: LaTeX of two
+completed sets and the model-file printout of each ``models/*.cqm``.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ import pytest
 from cqf import (FILTER_PHASE, build_correlation_system, complete,
                  filter_by_name, meanfield_derive)
 from cqf.algebra.render import render_average
-from cqf.cli import parse_model, serialize
+from cqf.cli import parse_model, pretty_print, serialize
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -49,13 +50,17 @@ def _model_file_archive(name: str) -> str:
     return serialize(complete(eqs))
 
 
+def _tavis_closed(tavis):
+    """Tavis at order 2 with the phase filter, seeded with every
+    excited-state population."""
+    seeds = [tavis.s(2, 2, k) for k in range(tavis.n_atoms)]
+    return complete(meanfield_derive(seeds, tavis.model, 2, FILTER_PHASE))
+
+
 def _tavis_archive(n_atoms: int) -> str:
     from conftest import make_tavis
 
-    tavis = make_tavis(n_atoms)
-    eqs = meanfield_derive([tavis.s(2, 2, k) for k in range(n_atoms)],
-                           tavis.model, 2, FILTER_PHASE)
-    return serialize(complete(eqs))
+    return serialize(_tavis_closed(make_tavis(n_atoms)))
 
 
 def _laser_closed(order: int):
@@ -92,9 +97,13 @@ def _tavis_correlation_text(steady: bool) -> str:
     from conftest import make_tavis
 
     tavis = make_tavis(5)
-    closed = complete(meanfield_derive([tavis.s(2, 2, k) for k in range(5)],
-                                       tavis.model, 2, FILTER_PHASE))
-    return _correlation_text(tavis.ad, tavis.a, closed, steady)
+    return _correlation_text(tavis.ad, tavis.a, _tavis_closed(tavis), steady)
+
+
+def _tavis5_latex() -> str:
+    from conftest import make_tavis
+
+    return _tavis_closed(make_tavis(5)).latex()
 
 
 CASES = {**{m: (lambda m=m: _model_file_archive(m)) for m in MODELS},
@@ -137,6 +146,27 @@ CORRELATION_DIGESTS = {
 }
 
 
+# sha256 of printed forms: the LaTeX of the laser completed at order 4 and
+# of Tavis N=5, and the model-file printout of each models/*.cqm.
+PRINTED_DIGESTS = {
+    "laser4-latex": (
+        lambda: _laser_closed(4).latex(),
+        "89c3ac1848cde6eda4fc08db0a217f4acaf53f775ebe6f424e0e512e07e7ec56"),
+    "tavis5-latex": (
+        _tavis5_latex,
+        "fae1e46755ca120c51ba7c8c227b04c8d7cfd0622e6c1d43a459cba56bced2e4"),
+    "laser-pretty": (
+        lambda: pretty_print(_parse_model_file("laser")),
+        "7efbbc584642838ba640c622488db9f53e82300847854307465020381db45754"),
+    "optomech-pretty": (
+        lambda: pretty_print(_parse_model_file("optomech")),
+        "9f5a129920120cc4354910814bfcbfb32bdb26a107f6d61725fcc010b6278aab"),
+    "three_level-pretty": (
+        lambda: pretty_print(_parse_model_file("three_level")),
+        "1668ed006b124cd264ad564680f8e596fa2a6b2fcfb0eb1661c7224c77e8aa64"),
+}
+
+
 def archive_digest(archive: str) -> str:
     return hashlib.sha256(archive.encode("utf-8")).hexdigest()
 
@@ -166,6 +196,12 @@ def test_laser_correlation_system_matches_digest():
 @pytest.mark.parametrize("name", sorted(CORRELATION_DIGESTS))
 def test_correlation_system_matches_digest(name):
     text, digest = CORRELATION_DIGESTS[name]
+    assert archive_digest(text()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_DIGESTS))
+def test_printed_form_matches_digest(name):
+    text, digest = PRINTED_DIGESTS[name]
     assert archive_digest(text()) == digest
 
 

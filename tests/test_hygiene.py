@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/cqf imports a name it never uses or
-catches every exception, and every function the benchmark's tracer hooks
-still exists.
+catches every exception, only the algebra builds expressions from raw
+accumulation maps, and every function the benchmark's tracer hooks still
+exists.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -93,6 +94,23 @@ def test_no_catch_all_handlers():
                 if lines:
                     found[os.path.relpath(path, ROOT)] = lines
     assert not found, f"catch-all exception handlers: {found}"
+
+
+def test_normal_form_stays_in_the_algebra():
+    """Only the scalar and operator modules build expressions from raw
+    accumulation maps; every other module goes through their public API."""
+    owners = {os.path.join("algebra", "scalars.py"),
+              os.path.join("algebra", "qexpr.py")}
+    found = []
+    for folder, _, files in os.walk(ROOT):
+        for name in sorted(files):
+            path = os.path.join(folder, name)
+            rel = os.path.relpath(path, ROOT)
+            if name.endswith(".py") and rel not in owners:
+                with open(path, encoding="utf-8") as fh:
+                    if "_from_dict" in fh.read():
+                        found.append(rel)
+    assert not found, f"modules that reference _from_dict: {found}"
 
 
 def test_catch_all_scan_sees_bare_and_tuple_handlers(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqf import I_UNIT, Parameter, ScalarExpr, parameters, scalar_evaluate, scalar_normalize
+from cqf import I_UNIT, Parameter, ScalarExpr, parameters, scalar_evaluate
 from cqf.algebra.scalars import CR_I, CR_ONE, ComplexRational
 from cqf.errors import AlgebraError, EvaluationError
 
@@ -91,11 +91,11 @@ def test_like_terms_merge_and_zero_drops():
     assert (I_UNIT * delta - I_UNIT * delta).is_zero
 
 
-def test_scalar_normalize_is_idempotent():
+def test_from_terms_is_idempotent():
     g, k = parameters("g κ")
     expr = 2 * g * k - g * k + g
-    assert scalar_normalize(expr) == expr
-    assert scalar_normalize(scalar_normalize(expr)) == scalar_normalize(expr)
+    assert ScalarExpr.from_terms(expr.terms) == expr
+    assert ScalarExpr.from_terms(expr.terms + expr.terms) == 2 * expr
 
 
 def test_evaluate_detuning_expression():
@@ -177,3 +177,17 @@ def test_conjugation_is_a_ring_morphism(x, y):
     assert (x + y).conj() == x.conj() + y.conj()
     assert (x * y).conj() == x.conj() * y.conj()
     assert x.conj().conj() == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(scalar_exprs(), max_size=5), st.data())
+def test_sum_equals_repeated_addition(exprs, data):
+    """One normalization of the whole sum gives the left fold of +, terms
+    in the same order, whatever the order of the summands."""
+    items = data.draw(st.permutations(exprs + exprs[:2]))
+    folded = ScalarExpr.zero()
+    for x in items:
+        folded = folded + x
+    assert ScalarExpr.sum(items) == folded
+    for x in exprs:
+        assert ScalarExpr.sum([x, -x]).is_zero
