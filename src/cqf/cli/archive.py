@@ -119,10 +119,18 @@ def deserialize(text: str) -> EquationSet:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ArchiveError(f"not a valid archive: {err}") from None
-    if doc.get("format") != FORMAT:
-        raise ArchiveError(
-            f"unsupported archive format {doc.get('format')!r}"
-        )
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != FORMAT:
+        raise ArchiveError(f"unsupported archive format {fmt!r}")
+    try:
+        return _rebuild(doc)
+    except KeyError as err:
+        raise ArchiveError(f"malformed archive: no field {err}") from None
+    except AlgebraError as err:
+        raise ArchiveError(f"malformed archive: {err}") from None
+
+
+def _rebuild(doc: dict) -> EquationSet:
     space = _rebuild_space(doc["spaces"])
     params = [Parameter(e["name"], e["real"]) for e in doc["parameters"]]
     alphabet = [_rebuild_op(e, space) for e in doc["alphabet"]]

@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("derive", "derive and close the moment equations, write an archive"),
         ("solve", "integrate the moment equations, write a CSV"),
-        ("correlate", "integrate a two-time correlation function"),
+        ("correlate", "compute a two-time correlation function"),
         ("spectrum", "compute a power spectrum"),
     ):
         cmd = sub.add_parser(name, help=help_text)
@@ -298,11 +298,11 @@ def cmd_solve(args) -> int:
 def _correlation_inputs(parsed: ParsedModel, args, params):
     """Correlation system, reference state, operators and delay stepper.
 
-    The steady state is a Newton root and takes no stepper.  The delay
-    stepper is rk45 at the resolved tolerances; it runs only where a delay
-    trajectory is integrated (``correlate``, and ``spectrum`` without a
-    steady state, whose resolvent integrates nothing).  Only a co-evolved
-    reference time uses the model's stepper.
+    The steady state is a Newton root and takes no stepper, and a steady
+    delay system is solved exactly, so the delay stepper is None there.
+    Co-evolved (``--no-steady``), the delay is integrated by rk45 at the
+    resolved tolerances, and the run up to the reference time by the
+    model's stepper.
     """
     if args.tau_points < 2:
         raise CqfError(f"--tau-points expects an integer of at least 2, "
@@ -318,7 +318,7 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
     if steady and (args.dt is not None or args.method == "rk4"):
         flag = "--dt" if args.dt is not None else "--method rk4"
         raise CqfError(f"{flag} does not apply to a steady-state correlation, "
-                       "which runs rk45: set --rtol/--atol or pass --no-steady")
+                       "whose delay is solved exactly: pass --no-steady")
     if not steady:
         tspan = parsed.options.tspan
         if tspan is None:
@@ -335,7 +335,7 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
         state = integrate(bound, u0, tspan, cfg).final_state
     cs = build_correlation_system(a_expr, b_expr, closed, steady=steady)
     state_map = state_mapping(prog.layout, state)
-    return cs, state_map, a_expr, b_expr, adaptive
+    return cs, state_map, a_expr, b_expr, None if steady else adaptive
 
 
 def _tau_window(cs, state_map, params, args):

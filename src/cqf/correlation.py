@@ -12,14 +12,16 @@ affine,
 
     dy/dtau = M y + d,
 
-and M and d are the Jacobian and the value at zero of the same lowered
-program that drives the delay integration, with the steady averages bound
-as external constants.  The spectrum follows from the one-sided Fourier
-transform evaluated via the resolvent: solve (i w - M) x = y(0) + d/(i w)
-per frequency and take S(w) = 2 Re x_primary.  Away from steady state the
-single-time averages are co-evolved in the delay instead.  The
-Wiener-Khinchin route transforms a sampled C(tau) by the trapezoid rule,
-as a chirp-z transform when the tau and w grids are uniform.
+and M and d are the Jacobian and the value at zero of the lowered delay
+program, with the steady averages bound as external constants.  Such a
+system is solved exactly, not integrated: C(tau) by the propagator
+exp(M dtau), and the spectrum from the one-sided Fourier transform
+evaluated via the resolvent: solve (i w - M) x = y(0) + d/(i w) per
+frequency and take S(w) = 2 Re x_primary.  Away from steady state the
+single-time averages are co-evolved in the delay instead, and the delay
+equations are integrated by a Runge-Kutta stepper.  The Wiener-Khinchin
+route transforms a sampled C(tau) by the trapezoid rule, as a chirp-z
+transform when the tau and w grids are uniform.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .cumulant import expand_scalar, expansion_memo
 from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from .meanfield import EquationSet, MeanfieldEquation, average, derive_equation, qle_rhs
 from .numerics.lowering import RHSProgram, lower, state_mapping
-from .numerics.steppers import StepperConfig, Trajectory, integrate
+from .numerics.steppers import (StepperConfig, Trajectory, _uniform_step,
+                                checked_saveat, integrate, propagate)
 
 
 @dataclass(frozen=True)
@@ -172,17 +175,35 @@ def _lower(cs: CorrelationSystem) -> RHSProgram:
     return lower(eqs, external=cs.constants)
 
 
-def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem:
-    """The affine steady-state delay dynamics, read off the lowered term table.
+def _steady_dynamics(cs: CorrelationSystem, state_map: dict, params: dict):
+    """The layout, J and d of the steady delay dynamics dy/dtau = J y + d.
 
     Once steady averages and parameters are folded in, every term must be
     constant or carry exactly one unconjugated correlation variable to the
     first power; anything else indicates a broken frozen-factor invariant.
-    The dynamics is then affine: M is the Jacobian and d the derivative at
-    zero of the bound delay program.
-    Delay-constant variables (frozen products with no delayed factor, as
-    produced by coherent driving) are folded into the drive vector rather
-    than kept as trivial rows.
+    J is then the Jacobian and d the derivative at zero of the bound delay
+    program, over its full layout.
+    """
+    prog = _lower(cs)
+    for term in prog.terms:
+        if (sum(power for _, _, power in term.state_factors) > 1
+                or any(conjd for _, conjd, _ in term.state_factors)):
+            raise ConsistencyError(
+                "right-hand side is nonlinear in correlation variables"
+            )
+    bound = prog.bind(params, state_map)
+    zero = np.zeros(prog.size, dtype=np.complex128)
+    return prog.layout, bound.jacobian(zero)[0], bound(0.0, zero)
+
+
+def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem:
+    """The affine steady-state delay dynamics, read off the lowered term table.
+
+    M and d are the Jacobian and the derivative at zero of the bound delay
+    program (see ``_steady_dynamics``, which also checks that it is
+    affine).  Delay-constant variables (frozen products with no delayed
+    factor, as produced by coherent driving) are folded into the drive
+    vector rather than kept as trivial rows.
     """
     if not cs.steady:
         raise AlgebraError("linearization requires a steady-state system")
@@ -193,19 +214,9 @@ def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem
         )
     state_map = _as_state_map(cs, state)
     y0 = initial_values(cs, state_map)
-    prog = _lower(cs)
-    for term in prog.terms:
-        if (sum(power for _, _, power in term.state_factors) > 1
-                or any(conjd for _, conjd, _ in term.state_factors)):
-            raise ConsistencyError(
-                "right-hand side is nonlinear in correlation variables"
-            )
-    bound = prog.bind(params, state_map)
-    zero = np.zeros(prog.size, dtype=np.complex128)
-    M = bound.jacobian(zero)[0]
-    d = bound(0.0, zero)
-    dyn = [k for k, lhs in enumerate(prog.layout) if lhs.ops]
-    const = [k for k, lhs in enumerate(prog.layout) if not lhs.ops]
+    layout, M, d = _steady_dynamics(cs, state_map, params)
+    dyn = [k for k, lhs in enumerate(layout) if lhs.ops]
+    const = [k for k, lhs in enumerate(layout) if not lhs.ops]
     drive = d[dyn] + M[np.ix_(dyn, const)] @ y0[const]
     return LinearSystem(M[np.ix_(dyn, dyn)], drive, y0[dyn], 0)
 
@@ -244,12 +255,28 @@ def correlation_trajectory(cs: CorrelationSystem, state, tauspan,
                            cfg: StepperConfig | None = None,
                            params: dict | None = None,
                            saveat=None) -> Trajectory:
-    """Integrate the delay equations; first column is the primary variable."""
+    """The delay evolution; the first column is the primary variable.
+
+    A steady system is affine with constant coefficients and is solved
+    exactly by ``propagate``, at ``saveat`` or else at the two ends of
+    ``tauspan``; ``cfg`` plays no part there.  A co-evolved system is
+    integrated with ``cfg`` (rk45 by default), sampled at ``saveat`` or
+    else at the solver's steps.
+    """
     state_map = _as_state_map(cs, state)
-    prog = _lower(cs)
-    bound = prog.bind(params or {}, state_map)
-    return integrate(bound, initial_values(cs, state_map), tauspan, cfg,
-                     saveat=saveat, layout=prog.layout)
+    if not cs.steady:
+        prog = _lower(cs)
+        bound = prog.bind(params or {}, state_map)
+        return integrate(bound, initial_values(cs, state_map), tauspan, cfg,
+                         saveat=saveat, layout=prog.layout)
+    layout, M, d = _steady_dynamics(cs, state_map, params or {})
+    y0 = initial_values(cs, state_map)
+    t0, t1 = float(tauspan[0]), float(tauspan[1])
+    if not t0 < t1:
+        raise AlgebraError("tspan must satisfy t0 < t1")
+    times = (np.array([t0, t1]) if saveat is None
+             else checked_saveat(saveat, t0, t1))
+    return Trajectory(times, propagate(M, y0, times - t0, drive=d), layout)
 
 
 def spectrum_fourier(taus, corr, omegas) -> SpectrumResult:
@@ -298,19 +325,6 @@ def fourier_spectrum(taus: np.ndarray, corr: np.ndarray,
     return out
 
 
-def _uniform_step(x: np.ndarray) -> float | None:
-    """The step dx if every x_k lies within 4 ulps of max|x| of x_0 + k dx.
-
-    A single point is uniform with step 0; an empty grid is not uniform.
-    """
-    if len(x) < 2:
-        return 0.0 if len(x) else None
-    step = (x[-1] - x[0]) / (len(x) - 1)
-    grid = x[0] + step * np.arange(len(x))
-    tol = 4 * np.spacing(np.max(np.abs(x)))
-    return float(step) if np.max(np.abs(x - grid)) <= tol else None
-
-
 def _chirp_z(wc: np.ndarray, taus: np.ndarray, omega0: float, dtau: float,
              domega: float, m: int) -> np.ndarray:
     """2 Re sum_k wc_k exp(-i w_j tau_k) for w_j = omega0 + j domega.
@@ -350,7 +364,7 @@ def decay_time(ls: LinearSystem) -> float:
     """A delay window long enough for correlations to die out.
 
     Twelve decay times of the slowest eigenvalue of the steady-state matrix,
-    clipped to [10, 2000]; used as the default tau extent when integrating
+    clipped to [10, 2000]; used as the default tau extent when sampling
     correlation trajectories.
     """
     eigs = np.linalg.eigvals(ls.matrix)

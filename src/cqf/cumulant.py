@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from .algebra.averages import AverageSymbol, average_symbol
 from .algebra.operators import TRANSITION
 from .algebra.scalars import ScalarExpr
+from .algebra.spaces import ProductSpace
 from .errors import AlgebraError, CapacityError
 
 MAX_PARTITION_SIZE = 12
@@ -145,12 +146,13 @@ def _keeps(filt, sym: AverageSymbol) -> bool:
     return True if filt is None else filt.keep(sym)
 
 
-def _canonical(factors, empty_message: str) -> tuple:
+def _canonical(factors, space: ProductSpace, empty_message: str) -> tuple:
     """``factors`` as a tuple, refused unless it is a canonical product.
 
     Canonical means sorted, so normal-ordered and in subspace order, with
     at most one transition per subspace and a frozen factor only at the
-    end.  Ground projectors are not detected: that needs the space.
+    end, and free of ground projectors of ``space``: the algebra rewrites
+    those by completeness, so no derived equation set holds their average.
     """
     factors = tuple(factors)
     if not factors:
@@ -161,6 +163,13 @@ def _canonical(factors, empty_message: str) -> tuple:
                    for a, b in zip(regular, regular[1:]))):
         raise AlgebraError(f"{factors} is not a canonical product; "
                            "multiply it out with qmul first")
+    for op in regular:
+        if (op.kind == TRANSITION
+                and op.i == op.j == space.factors[op.subspace].ground_index):
+            raise AlgebraError(
+                f"{op!r} is the ground projector of "
+                f"{space.factors[op.subspace].name!r}; write it as one minus "
+                "the other projectors, as transition() does")
     return factors
 
 
@@ -222,26 +231,27 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
     return split(tuple(k for _, k in runs))
 
 
-def joint_cumulant(factors) -> ScalarExpr:
+def joint_cumulant(factors, space: ProductSpace) -> ScalarExpr:
     """The partition-sum cumulant of an operator product (all partitions).
 
-    ``factors`` must be the factor sequence of a canonical product; the
-    full-sequence average enters with coefficient one.  The cumulant is the
-    full average minus its one-step moment expansion.
+    ``factors`` must be the factor sequence of a canonical product on
+    ``space``; the full-sequence average enters with coefficient one.  The
+    cumulant is the full average minus its one-step moment expansion.
     """
-    factors = _canonical(factors, "the joint cumulant of an empty product is undefined")
+    factors = _canonical(factors, space,
+                         "the joint cumulant of an empty product is undefined")
     return (ScalarExpr.from_average(average_symbol(factors))
-            - moment_expansion_once(factors))
+            - moment_expansion_once(factors, space))
 
 
-def moment_expansion_once(factors) -> ScalarExpr:
+def moment_expansion_once(factors, space: ProductSpace) -> ScalarExpr:
     """The vanishing-cumulant substitution applied a single time.
 
-    Expresses the full-sequence average of a canonical product through
-    proper-partition products; residual averages are left untouched (no
-    recursion).
+    Expresses the full-sequence average of a canonical product on ``space``
+    through proper-partition products; residual averages are left untouched
+    (no recursion).
     """
-    factors = _canonical(factors, "cannot expand an empty product")
+    factors = _canonical(factors, space, "cannot expand an empty product")
     return _expansion(factors, ScalarExpr.from_average)
 
 

@@ -1,4 +1,5 @@
-"""Explicit Runge-Kutta time integration over complex state vectors.
+"""Time evolution over complex state vectors: Runge-Kutta steps, and the
+exact propagator of constant linear systems.
 
 One stepping loop reads a Butcher tableau: the classic fixed-step 4th-order
 scheme, or the Dormand-Prince 5(4) pair with error-per-step control (the
@@ -7,6 +8,10 @@ estimate).  Requested output times are filled in by cubic Hermite
 interpolation between accepted steps as integration proceeds, so the
 controller's step choice is never distorted and long runs do not accumulate
 per-step storage.
+
+A constant affine system dy/dt = M y + d needs no stepping: ``propagate``
+applies the matrix exponential of its augmented matrix, computed by
+``expm`` (Pade 13 with scaling and squaring).
 """
 
 from __future__ import annotations
@@ -115,6 +120,22 @@ class Trajectory:
         raise AlgebraError(f"symbol {sym!r} not in trajectory layout")
 
 
+def checked_saveat(saveat, t0: float, t1: float) -> np.ndarray:
+    """``saveat`` as floats: at least one time, strictly increasing, and
+    none outside [t0, t1]."""
+    saveat = np.asarray(saveat, dtype=float)
+    if len(saveat) == 0:
+        raise AlgebraError("saveat must contain at least one time")
+    if np.any(np.diff(saveat) <= 0):
+        raise AlgebraError("saveat times must be strictly increasing")
+    outside = (saveat < t0) | (saveat > t1 + 1e-12 * max(1.0, abs(t1)))
+    if outside.any():
+        raise AlgebraError(
+            f"saveat time {saveat[outside.argmax()]:.6g} lies outside "
+            f"the integration span [{t0:.6g}, {t1:.6g}]")
+    return saveat
+
+
 def _hermite(t, t0, y0, f0, t1, y1, f1):
     h = t1 - t0
     s = (t - t0) / h
@@ -142,16 +163,7 @@ class _Recorder:
             self.times = [t0]
             self.rows = [first]
             return
-        self.saveat = np.asarray(saveat, dtype=float)
-        if len(self.saveat) == 0:
-            raise AlgebraError("saveat must contain at least one time")
-        if np.any(np.diff(self.saveat) <= 0):
-            raise AlgebraError("saveat times must be strictly increasing")
-        outside = (self.saveat < t0) | (self.saveat > t1 + 1e-12 * max(1.0, abs(t1)))
-        if outside.any():
-            raise AlgebraError(
-                f"saveat time {self.saveat[outside.argmax()]:.6g} lies outside "
-                f"the integration span [{t0:.6g}, {t1:.6g}]")
+        self.saveat = checked_saveat(saveat, t0, t1)
         self.rows = np.empty((len(self.saveat),) + first.shape, dtype=first.dtype)
         self.column = (-1,) + (1,) * first.ndim     # times against row axes
         # requested times as floats, and the first not yet filled (or inf)
@@ -408,3 +420,115 @@ def steady_state(f, u0, tol: float = 1e-8, t_max: float = 1e5):
         f"no steady state within t = {t_max:.6g} (residual {residual:.3e})",
         residual=residual, time=t_max,
     )
+
+
+# Pade 13 numerator coefficients b_0..b_13 and the largest 1-norm theta_13
+# for which the unscaled approximant is accurate to double-precision unit
+# roundoff (N. J. Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+# Rows a uniform grid fills by doubling before it advances a block at a time.
+_BLOCK = 256
+
+
+def expm(A) -> np.ndarray:
+    """exp(A) by the [13/13] Pade approximant with scaling and squaring.
+
+    A is scaled by 2^-s so that its 1-norm is at most theta_13, the
+    approximant r = (V - U)^-1 (V + U) is formed from the even powers A^2,
+    A^4 and A^6, and squared s times: Higham's (2005) scaling and squaring
+    algorithm at its highest degree only.
+    """
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A.dtype, float))
+    norm = float(np.max(np.abs(A).sum(axis=0))) if A.size else 0.0
+    if not np.isfinite(norm):
+        raise AlgebraError("the matrix exponential needs a finite matrix")
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm else 0
+    A = A * 2.0 ** -s
+    b = _PADE13
+    eye = np.eye(len(A), dtype=A.dtype)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def _uniform_step(x: np.ndarray) -> float | None:
+    """The step dx if every x_k lies within 4 ulps of max|x| of x_0 + k dx.
+
+    A single point is uniform with step 0; an empty grid is not uniform.
+    """
+    if len(x) < 2:
+        return 0.0 if len(x) else None
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    grid = x[0] + step * np.arange(len(x))
+    tol = 4 * np.spacing(np.max(np.abs(x)))
+    return float(step) if np.max(np.abs(x - grid)) <= tol else None
+
+
+def propagate(M, y0, taus, drive=None, observe=None) -> np.ndarray:
+    """y(tau) of dy/dtau = M y + drive with y(0) = y0, exactly, at ``taus``.
+
+    ``taus`` are strictly increasing and non-negative.  A drive becomes the
+    last column of the augmented matrix [[M, drive], [0, 0]] acting on
+    (y, 1), so M is never inverted.  On a uniform grid (every tau within 4
+    ulps of max|tau| of tau_0 + k dtau) the one exponential P = exp(M dtau)
+    fills a block of up to 256 rows by doubling (rows 1, 2-3, 4-7, ... are
+    P, P^2, P^4, ... times the rows before them), and each later block is
+    the one before it times P^block.  Any other grid takes one exponential
+    per interval.  Returns one row per tau: the state, or ``observe @ y``
+    when ``observe`` (an array whose last axis runs over the state) is
+    given, in which case no more than one block of states is ever held.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if len(taus) == 0 or taus[0] < 0 or np.any(np.diff(taus) <= 0):
+        raise AlgebraError("propagation times must be non-negative and "
+                           "strictly increasing")
+    M = np.asarray(M, dtype=np.complex128)
+    y = np.asarray(y0, dtype=np.complex128)
+    n = len(y)
+    if drive is not None:
+        M = np.block([[M, np.asarray(drive, dtype=np.complex128)[:, None]],
+                      [np.zeros((1, n + 1), dtype=np.complex128)]])
+        y = np.append(y, 1.0)
+    weights = None if observe is None else np.asarray(observe).T
+
+    def output(states):
+        states = states[..., :n]
+        return states if weights is None else states @ weights
+
+    if taus[0] > 0:
+        y = expm(M * taus[0]) @ y
+    out = np.empty((len(taus),) + np.shape(output(y)), dtype=np.complex128)
+    step = _uniform_step(taus)
+    if step is None:
+        out[0] = output(y)
+        for k, dtau in enumerate(np.diff(taus), start=1):
+            y = expm(M * dtau) @ y
+            out[k] = output(y)
+        return out
+    # rows as row vectors: each product with a power of P is by its transpose
+    power = expm(M * step).T
+    block = y[None]
+    size = min(len(taus), _BLOCK)
+    while len(block) < size:
+        block = np.concatenate((block, block[:size - len(block)] @ power))
+        power = power @ power
+    for start in range(0, len(taus), size):
+        if start:
+            block = block @ power
+        rows = min(size, len(taus) - start)
+        out[start:start + rows] = output(block[:rows])
+    return out

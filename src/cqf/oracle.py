@@ -3,11 +3,11 @@
 Operators are represented as dense matrices in truncated tensor-product
 bases and the density matrix is evolved under the Lindblad generator
 
-    drho/dt = -i [H, rho] + sum_n rate_n (c rho c' - 1/2 {c'c, rho})
+    drho/dt = -i [H, rho] + sum_n rate_n (c rho c' - 1/2 {c'c, rho}).
 
-with the same Runge-Kutta steppers as the moment engine.  This back end
-consumes the identical model definition object as the symbolic engine, so
-both sides see exactly the same Hamiltonian, jump operators and rates.
+This back end consumes the identical model definition object as the
+symbolic engine, so both sides see exactly the same Hamiltonian, jump
+operators and rates.
 
 Each basis state carries the charge q = sum of its Fock occupations and
 level indices, the U(1) phase that ``FundamentalOp.phase`` counts.  When
@@ -16,12 +16,15 @@ one phase, the generator maps each sector {(i, j): q_i - q_j = k} of
 density-matrix entries to itself, a weak symmetry (B. Buca and T. Prosen,
 New J. Phys. 14, 073007 (2012)).  An evolution then runs only on the
 sectors its start occupies, under the generator restricted to them as a
-dense matrix built by index arithmetic, and the steady state is the Newton
-root of sector 0 with the trace eliminated.  A model that does not conserve
-q, or sectors too large for a dense matrix to pay, keep the product form
-K rho + rho K_r + sum g c rho c' on the whole matrix.  Intended for
-desk-scale verification (dimensions up to a few thousand), not production
-simulation.
+dense matrix L built by index arithmetic.  On such a matrix nothing is
+stepped: the steady state is the null vector of sector 0 (its SVD, with
+the uniqueness certified by the singular values), and the regression
+C(tau) is exp(L tau) applied by ``propagate``.  ``me_evolve`` integrates
+the sectors with the same Runge-Kutta steppers as the moment engine.  A
+model that does not conserve q, or sectors too large for a dense matrix to
+pay, keep the product form K rho + rho K_r + sum g c rho c' on the whole
+matrix, integrated.  Intended for desk-scale verification (dimensions up
+to a few thousand), not production simulation.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from .algebra.operators import sequence_phase
 from .algebra.qexpr import QExpr
 from .algebra.spaces import FOCK, ProductSpace
 from .correlation import fourier_spectrum
-from .errors import AlgebraError, EvaluationError
+from .errors import AlgebraError, EvaluationError, NonStationaryError
 from .meanfield import ModelDefinition
-from .numerics.steppers import integrate, steady_state
+from .numerics.steppers import integrate, propagate, steady_state
 
 LEAK_THRESHOLD = 1e-4       # top-Fock-level population that flags truncation
+NOISE_THRESHOLD = 1e-12     # entries below this share of max|start| occupy no sector
+UNIQUE_THRESHOLD = 1e-10    # least sigma_{n-1}/sigma_1 of a unique steady state
 
 
 @dataclass(frozen=True)
@@ -253,10 +258,20 @@ class _Lindblad:
         return drho.reshape(-1)
 
     def sector(self, start: np.ndarray) -> Sector:
-        """The entries whose charge difference q_i - q_j is that of a nonzero
-        entry of ``start``; all entries when a dense generator on those
-        would take more multiply-adds (|S|^2) than one n x n product (n^3)."""
-        mask = np.isin(self.differences, self.differences[start != 0])
+        """The entries whose charge difference q_i - q_j is that of an entry
+        of ``start`` above 1e-12 of max|start|; all entries when a dense
+        generator on those would take more multiply-adds (|S|^2) than one
+        n x n product (n^3).
+
+        A start computed in floating point (B rho_ss with a least-squares
+        rho_ss, say) leaves rounding noise in every sector.  The sectors
+        evolve independently, so leaving out the entries below the bound
+        drops only their own evolution, which starts at most 1e-12 of
+        max|start| in size.
+        """
+        size = np.abs(start)
+        occupied = size > NOISE_THRESHOLD * size.max()
+        mask = np.isin(self.differences, self.differences[occupied])
         if np.count_nonzero(mask) ** 2 > self.dim ** 3:
             mask[:] = True
         return Sector(mask)
@@ -284,20 +299,6 @@ class _Lindblad:
             return self
         L = self.matrix(sector)
         return lambda t, x: L @ x
-
-
-class _Affine:
-    """x -> M x + b with its Jacobian, so ``steady_state`` runs its
-    certified Newton search on it."""
-
-    def __init__(self, M: np.ndarray, b: np.ndarray):
-        self.M, self.b = M, b
-
-    def __call__(self, t, x):
-        return self.M @ x + self.b
-
-    def jacobian(self, x):
-        return self.M, np.zeros_like(self.M)
 
 
 def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
@@ -333,31 +334,36 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
 
 
 def _steady(lindblad: _Lindblad, rho0: np.ndarray) -> np.ndarray:
-    """The steady density matrix: a Newton root in sector 0, or the product
-    form integrated to rest."""
+    """The steady density matrix: the null vector of sector 0, or the
+    product form integrated to rest from ``rho0``."""
     # a unique steady state commutes with q, so it lies in sector 0
     sector = lindblad.sector(np.eye(lindblad.dim))
-    x0 = sector.gather(np.asarray(rho0, dtype=np.complex128))
     if not lindblad.is_dense(sector):
+        x0 = sector.gather(np.asarray(rho0, dtype=np.complex128))
         return sector.scatter(steady_state(lindblad, x0))
-    # rho_00 = 1 - (the other diagonal entries); (0, 0) is the first entry
-    L = lindblad.matrix(sector)
-    diagonal = (sector.rows == sector.cols)[1:]
-    M = L[1:, 1:] - np.outer(L[1:, 0], diagonal)
-    y = steady_state(_Affine(M, L[1:, 0]), x0[1:])
-    return sector.scatter(np.concatenate(([1.0 - y[diagonal].sum()], y)))
+    _, sigma, vh = np.linalg.svd(lindblad.matrix(sector))
+    if not sigma[-2] > UNIQUE_THRESHOLD * sigma[0]:
+        raise NonStationaryError(
+            f"the steady state is not unique: the second-smallest singular "
+            f"value of sector 0, {sigma[-2]:.3e}, is below "
+            f"{UNIQUE_THRESHOLD:g} of the largest, {sigma[0]:.3e}",
+            residual=float(sigma[-1]), time=0.0)
+    null = vh[-1].conj()
+    return sector.scatter(null / null[sector.rows == sector.cols].sum())
 
 
 def me_steady(model: ModelDefinition, trunc: TruncationSpec,
               rho0: np.ndarray | None = None,
               params: dict | None = None) -> np.ndarray:
-    """Steady density matrix of the master equation.
+    """Steady density matrix of the master equation, with unit trace.
 
     With charge sectors, the steady state lies in sector 0 (q_i = q_j).
-    There the generator is a dense matrix, and with rho_00 eliminated by
-    the trace it is an affine map whose certified Newton root
-    ``steady_state`` finds; ``rho0`` is its start.  A product-form
-    generator is integrated from ``rho0`` until its residual vanishes.
+    There the generator is a dense matrix and the state is its right
+    singular vector of the smallest singular value.  It is unique when the
+    second-smallest singular value is at least 1e-10 of the largest;
+    otherwise :class:`NonStationaryError` is raised with both values.  A
+    product-form generator is integrated from ``rho0`` until its residual
+    vanishes.
     """
     params = params or {}
     if rho0 is None:
@@ -371,9 +377,11 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
                 tau_points: int = 4096):
     """Power spectrum via the regression theorem and a Fourier quadrature.
 
-    The steady state is reached first; then B rho_ss is evolved under the
-    same generator, on the charge sectors it occupies, and tr(A rho(tau))
-    is transformed on the requested grid.  Returns (omegas, S, C_tau, taus).
+    The steady state is reached first; then B rho_ss evolves under the same
+    generator, on the charge sectors it occupies, and tr(A rho(tau)) is
+    transformed on the requested grid.  On a dense sector the evolution is
+    exact, by ``propagate`` of the sector matrix on the uniform tau grid;
+    the product form is integrated.  Returns (omegas, S, C_tau, taus).
     """
     params = params or {}
     if rho0 is None:
@@ -382,9 +390,12 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     start = to_matrix(B, trunc, params) @ _steady(lindblad, rho0)
     sector = lindblad.sector(start)
     taus = np.linspace(0.0, tau_max, tau_points)
-    corr = integrate(lindblad.rhs(sector), sector.gather(start),
-                     (0.0, tau_max), saveat=taus,
-                     observe=sector.weights(to_matrix(A, trunc, params))).states
+    weights = sector.weights(to_matrix(A, trunc, params))
+    if lindblad.is_dense(sector):
+        corr = propagate(lindblad.matrix(sector), sector.gather(start), taus,
+                         observe=weights)
+    else:
+        corr = integrate(lindblad, sector.gather(start), (0.0, tau_max),
+                         saveat=taus, observe=weights).states
     spectrum = fourier_spectrum(taus, corr, omegas)
     return np.asarray(omegas, dtype=float), spectrum, corr, taus
-

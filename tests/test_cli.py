@@ -386,6 +386,19 @@ def test_bad_archive_payload():
         deserialize("{not json")
     with pytest.raises(ArchiveError):
         deserialize(json.dumps({"format": "other"}))
+    with pytest.raises(ArchiveError, match="unsupported archive format None"):
+        deserialize("[]")
+
+
+def test_malformed_archive_documents_raise_archive_errors(laser):
+    with pytest.raises(ArchiveError, match="malformed archive: no field 'spaces'"):
+        deserialize(json.dumps({"format": "cqf-equations-1"}))
+    doc = json.loads(serialize(complete(meanfield_derive(
+        [qmul(laser.ad, laser.a)], laser.model, 2))))
+    doc["spaces"] = []
+    with pytest.raises(ArchiveError, match="malformed archive: product space "
+                                           "needs at least one factor"):
+        deserialize(json.dumps(doc))
 
 
 # -- observables --------------------------------------------------------------
@@ -570,15 +583,20 @@ def test_spectrum_non_steady_matches_steady_after_relaxation(laser_file, tmp_pat
     assert np.max(np.abs(s[:, 1] - n[:, 1])) < 2e-2 * s[:, 1].max()
 
 
-@pytest.mark.parametrize("command, stepped", [
-    ("correlate", {"steady_state", "correlation_trajectory"}),
-    ("spectrum", {"steady_state"}),
+@pytest.mark.parametrize("command, flags, stepped", [
+    pytest.param("correlate", [], {"steady_state", "correlation_trajectory"},
+                 id="correlate-stepped0"),
+    pytest.param("spectrum", [], {"steady_state"}, id="spectrum-stepped1"),
+    pytest.param("correlate", ["--no-steady"],
+                 {"integrate", "correlation_trajectory"},
+                 id="correlate-no-steady"),
 ])
 def test_steady_correlation_integrates_at_the_resolved_tolerances(
-        laser_file, monkeypatch, command, stepped):
-    """The steady state is a Newton root and gets no stepper config; the
-    delay trajectory of ``correlate`` runs rk45 at the flag's tolerance,
-    else the model file's, whatever the file's solver line."""
+        laser_file, monkeypatch, command, flags, stepped):
+    """The steady state is a Newton root and the steady delay is solved
+    exactly: neither gets a stepper config.  Co-evolved, the delay
+    trajectory of ``correlate`` runs rk45 at the flag's tolerance, else the
+    model file's, whatever the file's solver line."""
     with open(laser_file, "a", encoding="utf-8") as fh:
         fh.write("rtol 1e-9\natol 1e-11\n")
     calls = {}
@@ -593,15 +611,21 @@ def test_steady_correlation_integrates_at_the_resolved_tolerances(
         monkeypatch.setattr(main_mod, name, wrapped)
 
     spy("steady_state")
+    spy("integrate")
     spy("correlation_trajectory")
     assert main([command, laser_file, "--atol", "1e-12", "--tau-max", "5",
-                 "--tau-points", "11", "--out", laser_file + ".out"]) == 0
+                 "--tau-points", "11", *flags,
+                 "--out", laser_file + ".out"]) == 0
     assert set(calls) == stepped
-    args, kwargs = calls["steady_state"]
-    assert len(args) == 2 and not kwargs        # the bound program and u0
+    if "steady_state" in calls:
+        args, kwargs = calls["steady_state"]
+        assert len(args) == 2 and not kwargs    # the bound program and u0
     if "correlation_trajectory" in calls:
         cfg = calls["correlation_trajectory"][0][3]
-        assert (cfg.method, cfg.rtol, cfg.atol) == ("rk45", 1e-9, 1e-12)
+        if "steady_state" in calls:
+            assert cfg is None
+        else:
+            assert (cfg.method, cfg.rtol, cfg.atol) == ("rk45", 1e-9, 1e-12)
 
 
 def test_loose_tolerances_give_the_same_steady_spectrum(laser_file):

@@ -200,6 +200,41 @@ def test_spectrum_is_real_and_matches_matrix_exponential(laser, laser_steady):
     assert s_lap.values[np.argmax(s_lap.values)] > 0
 
 
+def test_steady_trajectory_is_the_exact_propagator(laser, laser_steady,
+                                                   monkeypatch):
+    """A steady delay system is solved by its matrix exponential, not
+    stepped; without ``saveat`` the two ends of the span are returned."""
+    closed, prog, yss = laser_steady
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    ls = linearize_steady(cs, yss, laser.params)
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("a steady delay system was integrated")
+
+    monkeypatch.setattr(correlation_module, "integrate", stepped)
+    evals, vecs = np.linalg.eig(ls.matrix)
+    coef = np.linalg.solve(vecs, ls.y0)
+
+    def analytic(taus):
+        return (vecs @ (coef[:, None] * np.exp(np.outer(evals, taus)))).T
+
+    taus = np.linspace(0.0, 20.0, 2001)
+    traj = correlation_trajectory(cs, yss, (0.0, 20.0), params=laser.params,
+                                  saveat=taus)
+    assert np.array_equal(traj.times, taus)
+    assert traj.layout == cs.layout
+    want = analytic(taus)
+    assert np.max(np.abs(traj.states - want)) < 1e-12 * np.max(np.abs(want))
+    ends = correlation_trajectory(cs, yss, (2.0, 7.0), params=laser.params)
+    assert ends.times.tolist() == [2.0, 7.0]
+    assert np.array_equal(ends.states[0], ls.y0)
+    assert np.max(np.abs(ends.states[1] - analytic([5.0])[0])) \
+        < 1e-12 * np.max(np.abs(want))
+    with pytest.raises(AlgebraError, match="outside the integration span"):
+        correlation_trajectory(cs, yss, (0.0, 1.0), params=laser.params,
+                               saveat=[0.5, 2.0])
+
+
 def test_at_zero_delay_correlation_equals_single_time_average(laser, laser_steady):
     closed, prog, yss = laser_steady
     cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)

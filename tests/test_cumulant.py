@@ -23,6 +23,7 @@ from cqf import (FILTER_PHASE, FilterFunction, OrderSpec, average,
                  meanfield_derive, missing_averages, moment_expansion_once,
                  qmul, set_partitions)
 from cqf.algebra import ScalarExpr
+from cqf.algebra.operators import TRANSITION, FundamentalOp
 from cqf.cumulant import MAX_PARTITION_SIZE
 from cqf.errors import AlgebraError, CapacityError
 from conftest import make_optomech, make_tavis
@@ -127,7 +128,7 @@ def test_expansion_has_no_partition_cap(laser):
     order 14, and its delay system builds."""
     ops = _ops(*[laser.ad] * 7, *[laser.a] * 6)
     assert len(ops) == MAX_PARTITION_SIZE + 1
-    assert not moment_expansion_once(ops).is_zero
+    assert not moment_expansion_once(ops, laser.space).is_zero
     closed = complete(meanfield_derive([qmul(laser.ad, laser.a)], laser.model,
                                        14, FILTER_PHASE))
     assert not missing_averages(closed)
@@ -149,7 +150,7 @@ def _ops(*exprs):
 def test_second_order_cumulant_is_the_covariance(laser):
     factors = _ops(laser.ad, laser.a)
     expected = _avg_of(factors) - _avg_of(factors[:1]) * _avg_of(factors[1:])
-    assert joint_cumulant(factors) == expected
+    assert joint_cumulant(factors, laser.space) == expected
 
 
 def test_third_order_cumulant_explicit_form(laser):
@@ -162,12 +163,12 @@ def test_third_order_cumulant_explicit_form(laser):
         - _avg_of(x1) * _avg_of(x2 + x3)
         + 2 * _avg_of(x1) * _avg_of(x2) * _avg_of(x3)
     )
-    assert joint_cumulant(factors) == expected
+    assert joint_cumulant(factors, laser.space) == expected
 
 
 def test_first_order_cumulant_is_the_average(laser):
     factors = _ops(laser.a)
-    assert joint_cumulant(factors) == _avg_of(factors)
+    assert joint_cumulant(factors, laser.space) == _avg_of(factors)
 
 
 def test_third_order_expansion_explicit_form(laser):
@@ -179,13 +180,14 @@ def test_third_order_expansion_explicit_form(laser):
         + _avg_of(x1) * _avg_of(x2 + x3)
         - 2 * _avg_of(x1) * _avg_of(x2) * _avg_of(x3)
     )
-    assert moment_expansion_once(factors) == expected
+    assert moment_expansion_once(factors, laser.space) == expected
 
 
 def test_full_average_enters_the_cumulant_exactly_once(laser):
     factors = _ops(laser.ad, laser.a, laser.see)
     full = average_symbol(factors)
-    hits = [coeff for coeff, params, avgs in joint_cumulant(factors).terms
+    cumulant = joint_cumulant(factors, laser.space)
+    hits = [coeff for coeff, params, avgs in cumulant.terms
             if avgs == ((full, 1),)]
     assert len(hits) == 1
     assert hits[0].to_complex() == 1.0
@@ -202,8 +204,8 @@ def test_moment_cumulant_inverse_cancels(laser):
         ops = factors.terms[0][0]
         if len(ops) < 2:
             continue
-        cumulant = joint_cumulant(ops)
-        expansion = moment_expansion_once(ops)
+        cumulant = joint_cumulant(ops, laser.space)
+        expansion = moment_expansion_once(ops, laser.space)
         sym = average_symbol(ops)
         # the substitution map is keyed by representatives: if the word's
         # representative is its adjoint, the family expands to the conjugate
@@ -243,7 +245,7 @@ def test_vanishing_cumulant_under_statistical_independence(laser):
             if len(ops) != n or coeff != ScalarExpr.one():
                 # Contractions changed the factor count; skip this word.
                 continue
-            cumulant = joint_cumulant(ops)
+            cumulant = joint_cumulant(ops, laser.space)
             bindings = {}
             for occurrence in cumulant.averages():
                 fam = occurrence.family
@@ -381,6 +383,20 @@ def test_cumulants_refuse_non_canonical_products(laser):
     for factors in (_ops(laser.a, laser.ad), _ops(laser.see, laser.ad),
                     _ops(laser.sge, laser.seg)):
         with pytest.raises(AlgebraError, match="not a canonical product"):
-            joint_cumulant(factors)
+            joint_cumulant(factors, laser.space)
         with pytest.raises(AlgebraError, match="not a canonical product"):
-            moment_expansion_once(factors)
+            moment_expansion_once(factors, laser.space)
+
+
+def test_cumulants_refuse_ground_projectors(laser):
+    """|g><g| never survives the algebra, which rewrites it as 1 - |e><e|,
+    so a product holding it has no average in any equation set."""
+    see, = _ops(laser.see)
+    sgg = FundamentalOp(TRANSITION, see.subspace, see.name, 0, 0, "g", "g")
+    assert laser.space.factors[see.subspace].ground_index == 0
+    for factors in ((sgg,), _ops(laser.ad) + (sgg,)):
+        with pytest.raises(AlgebraError, match="is the ground projector of 'atom'"):
+            joint_cumulant(factors, laser.space)
+        with pytest.raises(AlgebraError, match="is the ground projector of 'atom'"):
+            moment_expansion_once(factors, laser.space)
+    assert joint_cumulant((see,), laser.space) == _avg_of((see,))

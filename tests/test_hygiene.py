@@ -1,7 +1,7 @@
-"""Source hygiene: no module under src/cqf imports a name it never uses or
-catches every exception, only the algebra builds expressions from raw
-accumulation maps, and every function the benchmark's tracer hooks still
-exists.
+"""Source hygiene: no module under src/cqf imports a name it never uses, or
+anything beyond the standard library and numpy, or catches every
+exception; only the algebra builds expressions from raw accumulation maps,
+and every function the benchmark's tracer hooks still exists.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -13,6 +13,8 @@ import importlib
 import importlib.util
 import os
 import sys
+
+import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "cqf")
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
@@ -68,6 +70,55 @@ def test_no_unused_imports():
                 if unused:
                     found[os.path.relpath(path, ROOT)] = unused
     assert not found, f"unused imports: {found}"
+
+
+def _third_party_imports(path):
+    """Top-level modules imported from outside the package and the standard
+    library."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted({name.partition(".")[0] for name in names}
+                  - set(sys.stdlib_module_names) - {"cqf"})
+
+
+def test_the_package_needs_only_numpy():
+    """pyproject.toml declares numpy as the one dependency; SciPy may serve
+    the tests, never the package."""
+    found = {}
+    for folder, _, files in os.walk(ROOT):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                outside = [m for m in _third_party_imports(path) if m != "numpy"]
+                if outside:
+                    found[os.path.relpath(path, ROOT)] = outside
+    assert not found, f"imports beyond the standard library and numpy: {found}"
+
+
+def test_numpy_is_the_one_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "..", "..", "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [dep.partition(">")[0] for dep in project["dependencies"]] \
+        == ["numpy"]
+
+
+def test_import_scan_sees_absolute_imports_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import os.path, scipy.linalg\n"
+        "from numpy import linalg\n"
+        "from .steppers import expm\n"
+        "from cqf.errors import CqfError\n"
+        "def f():\n    import sympy\n",
+        encoding="utf-8")
+    assert _third_party_imports(path) == ["numpy", "scipy", "sympy"]
 
 
 def _catch_alls(path):

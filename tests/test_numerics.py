@@ -15,7 +15,8 @@ from cqf import (FILTER_PHASE, ModelDefinition, StepperConfig, average_symbol,
 from cqf.cli import parse_model
 from cqf.correlation import _lower as lower_correlation
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
-from cqf.numerics.steppers import _TABLEAUX, _RealSystem, _hermite
+from cqf.numerics.steppers import (_TABLEAUX, _RealSystem, _hermite, expm,
+                                   propagate)
 from conftest import make_tavis
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -417,6 +418,100 @@ def test_steady_state_of_linear_decay():
 def test_steady_state_nonconvergence():
     with pytest.raises(NonStationaryError):
         steady_state(lambda t, y: 1j * y, np.array([1.0 + 0j]), t_max=50.0)
+
+
+# -- the exact propagator of constant linear systems ---------------------------
+
+
+def test_expm_of_a_rotation_generator():
+    theta = 0.7
+    A = np.array([[0.0, -theta], [theta, 0.0]])
+    want = np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
+    got = expm(A)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) < 4e-16
+
+
+@pytest.mark.parametrize("t", [0.3, 40.0])
+def test_expm_of_a_jordan_block(t):
+    """exp(t (lam I + N)) = e^(t lam) (I + t N + t^2 N^2 / 2) for the 3 x 3
+    nilpotent shift N; at t = 40 the 1-norm, 40 (|lam| + 1) = 122, is past
+    theta_13, so the exponential is squared five times."""
+    lam = -0.5 + 2.0j
+    A = t * (lam * np.eye(3) + np.eye(3, k=1))
+    want = np.exp(t * lam) * np.array([[1.0, t, t * t / 2],
+                                       [0.0, 1.0, t],
+                                       [0.0, 0.0, 1.0]])
+    got = expm(A)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_squares_a_large_rotation():
+    """A rotation by 100 rad has a 1-norm of 100: s = 5 squarings, and
+    the result stays orthogonal to rounding."""
+    theta = 100.0
+    got = expm(np.array([[0.0, -theta], [theta, 0.0]]))
+    want = np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert np.max(np.abs(expm(np.zeros((3, 3))) - np.eye(3))) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_expm_matches_scipy(scale):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    A = scale * (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))) / 12
+    want = linalg.expm(A)
+    assert np.max(np.abs(expm(A) - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def _damped_system(n=6, seed=4):
+    rng = np.random.default_rng(seed)
+    M = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) - 2.5 * np.eye(n)
+    y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    drive = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return M, y0, drive
+
+
+def _eigen_solution(M, y0, taus, drive=None):
+    """y(tau) = V e^(w tau) V^-1 (y0 - y_inf) + y_inf, y_inf = -M^-1 drive."""
+    w, V = np.linalg.eig(M)
+    rest = np.zeros_like(y0) if drive is None else -np.linalg.solve(M, drive)
+    c = np.linalg.solve(V, y0 - rest)
+    return (V @ (c[:, None] * np.exp(np.outer(w, taus)))).T + rest
+
+
+@pytest.mark.parametrize("taus", [
+    np.linspace(0.0, 6.0, 1001),        # uniform, four blocks of 256 rows
+    np.linspace(0.4, 6.0, 200),         # uniform, not from zero, one block
+    np.array([0.0, 0.05, 0.3, 1.0, 2.5, 6.0]),
+    np.array([0.7]),
+], ids=["uniform", "uniform-offset", "non-uniform", "single"])
+@pytest.mark.parametrize("driven", [False, True])
+def test_propagate_matches_the_eigen_solution(taus, driven):
+    M, y0, drive = _damped_system()
+    drive = drive if driven else None
+    want = _eigen_solution(M, y0, taus, drive)
+    got = propagate(M, y0, taus, drive)
+    scale = np.max(np.abs(want))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12 * scale
+    weights = np.arange(1.0, 7.0) - 2j
+    observed = propagate(M, y0, taus, drive, observe=weights)
+    assert observed.shape == taus.shape
+    assert np.max(np.abs(observed - want @ weights)) < 1e-12 * scale * 21
+    pair = propagate(M, y0, taus, drive, observe=np.stack([weights, -weights]))
+    assert np.max(np.abs(pair[:, 0] - observed)) < 1e-15 * scale * 21
+    assert np.array_equal(pair[:, 1], -pair[:, 0])
+
+
+@pytest.mark.parametrize("taus", [[], [-0.1, 1.0], [0.0, 1.0, 1.0], [1.0, 0.5]])
+def test_propagate_refuses_bad_times(taus):
+    M, y0, _ = _damped_system()
+    with pytest.raises(AlgebraError, match="strictly increasing"):
+        propagate(M, y0, taus)
 
 
 def test_first_order_laser_stays_dark(laser):

@@ -9,7 +9,7 @@ from cqf import (ModelDefinition, StepperConfig, TruncationSpec, adjoint,
                  destroy, fock, ground_state, identity, integrate, me_evolve,
                  me_spectrum, me_steady, nlevel, parameters, product, qmul,
                  to_matrix, transition)
-from cqf.errors import EvaluationError
+from cqf.errors import EvaluationError, NonStationaryError
 from cqf.oracle import _Lindblad, fourier_spectrum
 
 
@@ -199,7 +199,7 @@ def test_sector_steady_state_is_the_null_vector_of_the_full_generator(laser):
     trunc = TruncationSpec.uniform(laser.space, 4)
     reference = _full_steady(_Lindblad(laser.model, trunc, laser.params))
     rho = me_steady(laser.model, trunc, params=laser.params)
-    assert np.max(np.abs(rho - reference)) < 1e-8
+    assert np.max(np.abs(rho - reference)) < 1e-12
 
 
 def test_sector_evolution_of_a_cavity_coherence(laser):
@@ -227,30 +227,84 @@ def test_sector_spectrum_of_a_two_sector_operator(laser, monkeypatch):
     # at cutoff 5, sectors -1 and 1 together take the dense form
     trunc = TruncationSpec.uniform(laser.space, 5)
     lindblad = _Lindblad(laser.model, trunc, laser.params)
-    evolved = []
-    rhs = _Lindblad.rhs
+    built = []
+    matrix = _Lindblad.matrix
 
     def spy(self, sector):
-        evolved.append(sector)
-        return rhs(self, sector)
+        built.append(sector)
+        return matrix(self, sector)
 
-    monkeypatch.setattr(_Lindblad, "rhs", spy)
+    monkeypatch.setattr(_Lindblad, "matrix", spy)
     x = laser.a + laser.ad
     omegas = np.linspace(-3.0, 3.0, 61)
     _, s, corr, taus = me_spectrum(laser.model, trunc, x, x, omegas,
                                    params=laser.params, tau_max=20.0,
                                    tau_points=801)
-    sector, = evolved
+    steady, sector = built      # sector 0 for rho_ss, then the delay's
+    assert set(np.unique(lindblad.differences[steady.rows, steady.cols])) \
+        == {0}
     assert lindblad.is_dense(sector)
     assert set(np.unique(lindblad.differences[sector.rows, sector.cols])) \
         == {-1, 1}
     xm = to_matrix(x, trunc)
     start = xm @ _full_steady(lindblad)
-    ref_corr = integrate(lindblad, start.reshape(-1), (0.0, 20.0), saveat=taus,
-                         observe=xm.T.reshape(-1)).states
+    ref_corr = integrate(lindblad, start.reshape(-1), (0.0, 20.0),
+                         StepperConfig.rk45(rtol=1e-13, atol=1e-16),
+                         saveat=taus, observe=xm.T.reshape(-1)).states
     ref_s = fourier_spectrum(taus, ref_corr, omegas)
     assert np.max(np.abs(corr - ref_corr)) < 1e-9 * np.max(np.abs(ref_corr))
     assert np.max(np.abs(s - ref_s)) < 1e-9 * np.max(np.abs(ref_s))
+
+
+def test_sectors_ignore_rounding_noise_in_the_start(laser):
+    """(a + a') rho_ss with a least-squares rho_ss carries rounding noise in
+    every sector; only sectors -1 and 1 hold entries above 1e-12 of the
+    largest."""
+    trunc = TruncationSpec.uniform(laser.space, 5)
+    lindblad = _Lindblad(laser.model, trunc, laser.params)
+    start = to_matrix(laser.a + laser.ad, trunc) @ _full_steady(lindblad)
+    exact = np.isin(lindblad.differences, (-1, 1))
+    assert np.count_nonzero(start[~exact]) > 0
+    sector = lindblad.sector(start)
+    assert len(sector) == np.count_nonzero(exact) == 40
+    assert np.array_equal(sector.rows * lindblad.dim + sector.cols,
+                          np.flatnonzero(exact))
+
+
+def test_sector_correlation_is_exact(laser):
+    """C(tau) = <a'(tau) a> by the sector propagator, against rk45 at
+    rtol 1e-13 on the sector matrix, within 1e-10 of max|C|."""
+    trunc = TruncationSpec.uniform(laser.space, 8)
+    lindblad = _Lindblad(laser.model, trunc, laser.params)
+    omegas = np.linspace(-3.0, 3.0, 31)
+    _, _, corr, taus = me_spectrum(laser.model, trunc, laser.ad, laser.a,
+                                   omegas, params=laser.params, tau_max=15.0,
+                                   tau_points=1501)
+    start = to_matrix(laser.a, trunc) @ me_steady(laser.model, trunc,
+                                                  params=laser.params)
+    sector = lindblad.sector(start)
+    L = lindblad.matrix(sector)
+    ref = integrate(lambda t, x: L @ x, sector.gather(start), (0.0, 15.0),
+                    StepperConfig.rk45(rtol=1e-13, atol=1e-16), saveat=taus,
+                    observe=sector.weights(to_matrix(laser.ad, trunc))).states
+    assert np.max(np.abs(corr - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+def test_a_steady_state_that_is_not_unique_raises():
+    """A cavity without decay keeps every Fock population: sector 0's
+    generator is zero and has no unique null vector."""
+    h = product(fock("c"))
+    a = destroy(h, "a")
+    kappa, = parameters("κ")
+    model = ModelDefinition.create(h, a.dag() * a, jumps=(a,), rates=(kappa,))
+    trunc = TruncationSpec.uniform(h, 4)
+    with pytest.raises(NonStationaryError, match="not unique") as err:
+        me_steady(model, trunc, params={"κ": 0.0})
+    assert "second-smallest singular value of sector 0, 0.000e+00" \
+        in str(err.value)
+    # with decay the vacuum is the unique steady state
+    rho = me_steady(model, trunc, params={"κ": 1.0})
+    assert np.max(np.abs(rho - ground_state(h, trunc))) < 1e-14
 
 
 @pytest.mark.parametrize("case", ["driven laser", "three-level"])
