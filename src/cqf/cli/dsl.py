@@ -537,8 +537,22 @@ def _read_directive(directive: str, p: _ExprParser, scope: _Scope):
         if tok.kind not in ("ident", "number"):
             raise DslError("expected a level label or occupation number",
                            tok.line, tok.column)
-        options.oracle_state[name] = tok.text
         _expect_line_end(p)
+        names = [f.name for f in scope.factors]
+        if name not in names:
+            raise CqfError(
+                f"oracle_state expects SPACE STATE with SPACE one of the "
+                f"model's spaces ({', '.join(names)}), got '{name} "
+                f"{tok.text}': no space {name!r}")
+        factor = scope.space.factors[names.index(name)]
+        if factor.kind != FOCK:
+            factor.level_index(tok.text)
+            options.oracle_state[name] = tok.text
+        elif tok.kind != "number" or _number(tok).denominator != 1:
+            raise DslError(f"expected a non-negative integer, found "
+                           f"{tok.text!r}", tok.line, tok.column)
+        else:
+            options.oracle_state[name] = int(_number(tok))
 
     else:
         raise CqfError(f"unknown directive {directive!r}")

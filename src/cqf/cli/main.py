@@ -32,7 +32,8 @@ from ..errors import CqfError, DslError
 from ..meanfield import meanfield_derive
 from ..numerics import (StepperConfig, initial_state, integrate, lower,
                         state_mapping, steady_state)
-from ..oracle import TruncationSpec, ground_state, me_evolve, me_spectrum
+from ..oracle import (TruncationSpec, ground_state, me_correlation, me_evolve,
+                      me_steady)
 from . import archive as archive_mod
 from .dsl import ParsedModel, parse_model
 from .observables import evaluate_observables
@@ -296,7 +297,8 @@ def cmd_solve(args) -> int:
 
 
 def _correlation_inputs(parsed: ParsedModel, args, params):
-    """Correlation system, reference state, operators and delay stepper.
+    """Correlation system, reference state and delay stepper; every flag is
+    checked before anything is derived.
 
     The steady state is a Newton root and takes no stepper, and a steady
     delay system is solved exactly, so the delay stepper is None there.
@@ -325,6 +327,8 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
             raise CqfError("co-evolved correlations need a 'tspan' line to "
                            "reach the reference time t")
         cfg = _stepper(parsed, args, tspan)
+        if args.tau_max is None:
+            raise CqfError("co-evolved correlations need --tau-max")
     closed = _closed_equations(parsed, args)
     prog = lower(closed)
     bound = prog.bind(params)
@@ -335,24 +339,32 @@ def _correlation_inputs(parsed: ParsedModel, args, params):
         state = integrate(bound, u0, tspan, cfg).final_state
     cs = build_correlation_system(a_expr, b_expr, closed, steady=steady)
     state_map = state_mapping(prog.layout, state)
-    return cs, state_map, a_expr, b_expr, None if steady else adaptive
+    return cs, state_map, None if steady else adaptive
 
 
-def _tau_window(cs, state_map, params, args):
-    if args.tau_max is not None:
-        return args.tau_max
-    if cs.steady:
-        ls = linearize_steady(cs, state_map, params)
-        return decay_time(ls)
-    raise CqfError("co-evolved correlations need --tau-max")
+def _oracle_correlation(parsed: ParsedModel, args, params, oracle, taus):
+    """The master equation's C(tau) at ``taus`` for ``--oracle``.
+
+    Its reference state is the steady state, or with ``--no-steady`` the
+    oracle's initial state evolved over ``tspan``, as the cumulant side's.
+    """
+    trunc, rho0 = oracle
+    model = parsed.model
+    if args.no_steady:
+        rho = me_evolve(model, trunc, rho0, parsed.options.tspan, params).final
+    else:
+        rho = me_steady(model, trunc, rho0, params)
+    a_expr, b_expr = parsed.options.correlation
+    return me_correlation(model, trunc, a_expr, b_expr, rho, taus, params)
 
 
 def cmd_correlate(args) -> int:
     parsed = _parse_model_file(args.model)
     params = _resolve_params(parsed, args)
     oracle = _oracle_setup(parsed, args)
-    cs, state_map, a_expr, b_expr, cfg = _correlation_inputs(parsed, args, params)
-    tau_max = _tau_window(cs, state_map, params, args)
+    cs, state_map, cfg = _correlation_inputs(parsed, args, params)
+    tau_max = (args.tau_max if args.tau_max is not None
+               else decay_time(linearize_steady(cs, state_map, params)))
     taus = np.linspace(0.0, tau_max, args.tau_points)
     traj = correlation_trajectory(cs, state_map, (0.0, tau_max), cfg, params,
                                   saveat=taus)
@@ -360,11 +372,7 @@ def cmd_correlate(args) -> int:
     header = ["tau", "ReC", "ImC"]
     columns = [traj.times, corr.real, corr.imag]
     if oracle:
-        trunc, rho0 = oracle
-        omegas = np.linspace(*DEFAULT_OMEGA)
-        _, _, corr_me, _ = me_spectrum(
-            parsed.model, trunc, a_expr, b_expr, omegas, params=params,
-            rho0=rho0, tau_max=tau_max, tau_points=args.tau_points)
+        corr_me = _oracle_correlation(parsed, args, params, oracle, taus)
         header.extend(["ME:ReC", "ME:ImC"])
         columns.extend([corr_me.real, corr_me.imag])
         print(f"oracle max deviation: {np.max(np.abs(corr - corr_me)):.3e}")
@@ -389,27 +397,24 @@ def cmd_spectrum(args) -> int:
     else:
         omegas = np.linspace(*DEFAULT_OMEGA)
     oracle = _oracle_setup(parsed, args)
-    cs, state_map, a_expr, b_expr, cfg = _correlation_inputs(parsed, args, params)
+    cs, state_map, cfg = _correlation_inputs(parsed, args, params)
     if cs.steady:
         ls = linearize_steady(cs, state_map, params)
         result = spectrum_laplace(ls, omegas)
         for w in result.skipped:
             print(f"warning: singular resolvent at omega = {w:.6g}; point skipped")
     else:
-        tau_max = _tau_window(cs, state_map, params, args)
-        taus = np.linspace(0.0, tau_max, args.tau_points)
-        traj = correlation_trajectory(cs, state_map, (0.0, tau_max), cfg,
+        taus = np.linspace(0.0, args.tau_max, args.tau_points)
+        traj = correlation_trajectory(cs, state_map, (0.0, args.tau_max), cfg,
                                       params, saveat=taus)
         result = spectrum_fourier(taus, traj.states[:, 0], omegas)
     header = ["omega", "S"]
     columns = [result.omegas, result.values]
     if oracle:
-        trunc, rho0 = oracle
-        tau_max = 60.0 if args.tau_max is None else args.tau_max
-        _, s_me, _, _ = me_spectrum(parsed.model, trunc, a_expr, b_expr,
-                                    omegas, params=params, rho0=rho0,
-                                    tau_max=tau_max,
-                                    tau_points=max(args.tau_points, 4001))
+        taus = np.linspace(0.0, 60.0 if args.tau_max is None else args.tau_max,
+                           max(args.tau_points, 4001))
+        corr_me = _oracle_correlation(parsed, args, params, oracle, taus)
+        s_me = spectrum_fourier(taus, corr_me, omegas).values
         header.append("ME:S")
         columns.append(s_me)
         scale = max(result.values.max(), 1e-300)

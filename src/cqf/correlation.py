@@ -27,6 +27,7 @@ transform when the tau and w grids are uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationErro
 from .meanfield import EquationSet, MeanfieldEquation, average, derive_equation, qle_rhs
 from .numerics.lowering import RHSProgram, lower, state_mapping
 from .numerics.steppers import (StepperConfig, Trajectory, _uniform_step,
-                                checked_saveat, integrate, propagate)
+                                integrate, propagate, sample_times)
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,14 @@ class CorrelationSystem:
     @property
     def layout(self) -> tuple[AverageSymbol, ...]:
         return tuple(eq.lhs for eq in self.equations)
+
+    @cached_property
+    def program(self) -> RHSProgram:
+        """The delay equations as a term table, steady averages as
+        externals; lowered on first use and then kept."""
+        eqs = EquationSet(self.equations, self.base.model, self.base.order,
+                          self.base.filter)
+        return lower(eqs, external=self.constants)
 
 
 def _corr_equation(sym: AverageSymbol, base: EquationSet) -> MeanfieldEquation:
@@ -169,12 +178,6 @@ def initial_values(cs: CorrelationSystem, state) -> np.ndarray:
     return y0
 
 
-def _lower(cs: CorrelationSystem) -> RHSProgram:
-    """The delay equations as a term table, steady averages as externals."""
-    eqs = EquationSet(cs.equations, cs.base.model, cs.base.order, cs.base.filter)
-    return lower(eqs, external=cs.constants)
-
-
 def _steady_dynamics(cs: CorrelationSystem, state_map: dict, params: dict):
     """The layout, J and d of the steady delay dynamics dy/dtau = J y + d.
 
@@ -184,7 +187,7 @@ def _steady_dynamics(cs: CorrelationSystem, state_map: dict, params: dict):
     J is then the Jacobian and d the derivative at zero of the bound delay
     program, over its full layout.
     """
-    prog = _lower(cs)
+    prog = cs.program
     for term in prog.terms:
         if (sum(power for _, _, power in term.state_factors) > 1
                 or any(conjd for _, conjd, _ in term.state_factors)):
@@ -265,18 +268,15 @@ def correlation_trajectory(cs: CorrelationSystem, state, tauspan,
     """
     state_map = _as_state_map(cs, state)
     if not cs.steady:
-        prog = _lower(cs)
+        prog = cs.program
         bound = prog.bind(params or {}, state_map)
         return integrate(bound, initial_values(cs, state_map), tauspan, cfg,
                          saveat=saveat, layout=prog.layout)
     layout, M, d = _steady_dynamics(cs, state_map, params or {})
     y0 = initial_values(cs, state_map)
-    t0, t1 = float(tauspan[0]), float(tauspan[1])
-    if not t0 < t1:
-        raise AlgebraError("tspan must satisfy t0 < t1")
-    times = (np.array([t0, t1]) if saveat is None
-             else checked_saveat(saveat, t0, t1))
-    return Trajectory(times, propagate(M, y0, times - t0, drive=d), layout)
+    times = sample_times(tauspan, saveat)
+    return Trajectory(times, propagate(M, y0, times - float(tauspan[0]), drive=d),
+                      layout)
 
 
 def spectrum_fourier(taus, corr, omegas) -> SpectrumResult:

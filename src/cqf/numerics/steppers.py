@@ -136,6 +136,15 @@ def checked_saveat(saveat, t0: float, t1: float) -> np.ndarray:
     return saveat
 
 
+def sample_times(tspan, saveat=None) -> np.ndarray:
+    """The times an exact solution over ``tspan`` is sampled at: ``saveat``,
+    checked, or else the two ends of ``tspan``."""
+    t0, t1 = float(tspan[0]), float(tspan[1])
+    if not t0 < t1:
+        raise AlgebraError("tspan must satisfy t0 < t1")
+    return np.array([t0, t1]) if saveat is None else checked_saveat(saveat, t0, t1)
+
+
 def _hermite(t, t0, y0, f0, t1, y1, f1):
     h = t1 - t0
     s = (t - t0) / h

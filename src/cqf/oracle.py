@@ -18,19 +18,20 @@ New J. Phys. 14, 073007 (2012)).  An evolution then runs only on the
 sectors its start occupies, under the generator restricted to them as a
 dense matrix L built by index arithmetic.  On such a matrix nothing is
 stepped: the steady state is the null vector of sector 0 (its SVD, with
-the uniqueness certified by the singular values), and the regression
-C(tau) is exp(L tau) applied by ``propagate``.  ``me_evolve`` integrates
-the sectors with the same Runge-Kutta steppers as the moment engine.  A
-model that does not conserve q, or sectors too large for a dense matrix to
-pay, keep the product form K rho + rho K_r + sum g c rho c' on the whole
-matrix, integrated.  Intended for desk-scale verification (dimensions up
-to a few thousand), not production simulation.
+the uniqueness certified by the singular values), and every evolution, of
+a density matrix (``me_evolve``) or of B rho for the regression C(tau)
+(``me_correlation``), is exp(L tau) applied by ``propagate``.  A model that
+does not conserve q, or sectors too large for a dense matrix to pay, keep
+the product form K rho + rho K_r + sum g c rho c' on the whole matrix,
+integrated by the same Runge-Kutta steppers as the moment engine.
+Intended for desk-scale verification (dimensions up to a few thousand), not
+production simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .algebra.spaces import FOCK, ProductSpace
 from .correlation import fourier_spectrum
 from .errors import AlgebraError, EvaluationError, NonStationaryError
 from .meanfield import ModelDefinition
-from .numerics.steppers import integrate, propagate, steady_state
+from .numerics.steppers import integrate, propagate, sample_times, steady_state
 
 LEAK_THRESHOLD = 1e-4       # top-Fock-level population that flags truncation
 NOISE_THRESHOLD = 1e-12     # entries below this share of max|start| occupy no sector
@@ -73,16 +74,17 @@ class TruncationSpec:
         raise AlgebraError(f"no cutoff declared for fock subspace {index}")
 
     def dims(self, space: ProductSpace) -> tuple[int, ...]:
-        out = []
-        for k, f in enumerate(space.factors):
-            out.append(self.cutoff_of(k) + 1 if f.kind == FOCK else f.dim)
-        return tuple(out)
+        return tuple(self.cutoff_of(k) + 1 if f.kind == FOCK else f.dim
+                     for k, f in enumerate(space.factors))
 
 
-def _destroy_matrix(dim: int) -> np.ndarray:
+def _factor_matrix(op, kind: str, dim: int) -> np.ndarray:
+    """The matrix of one fundamental operator on its own factor."""
+    if kind == FOCK:
+        a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
+        return a.conj().T if op.kind == "create" else a
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        m[n - 1, n] = np.sqrt(n)
+    m[op.i, op.j] = 1.0
     return m
 
 
@@ -104,25 +106,11 @@ def to_matrix(x: QExpr, trunc: TruncationSpec, params: dict | None = None) -> np
             raise EvaluationError(
                 "coefficient contains averages; no matrix representation"
             )
-        factor_mats = []
-        for k, f in enumerate(space.factors):
-            dim = dims[k]
-            block = np.eye(dim, dtype=np.complex128)
-            for op in ops:
-                if op.subspace != k:
-                    continue
-                if f.kind == FOCK:
-                    a = _destroy_matrix(dim)
-                    block = block @ (a.conj().T if op.kind == "create" else a)
-                else:
-                    m = np.zeros((dim, dim), dtype=np.complex128)
-                    m[op.i, op.j] = 1.0
-                    block = block @ m
-            factor_mats.append(block)
-        mat = factor_mats[0]
-        for b in factor_mats[1:]:
-            mat = np.kron(mat, b)
-        out += complex(coeff.evaluate(params or {})) * mat
+        blocks = (reduce(np.matmul, [_factor_matrix(op, f.kind, dims[k])
+                                     for op in ops if op.subspace == k],
+                         np.eye(dims[k], dtype=np.complex128))
+                  for k, f in enumerate(space.factors))
+        out += complex(coeff.evaluate(params or {})) * reduce(np.kron, blocks)
     return out
 
 
@@ -131,27 +119,29 @@ def ground_state(space: ProductSpace, trunc: TruncationSpec,
     """Pure product density matrix.
 
     ``occupation`` overrides per factor name: a Fock occupation number or a
-    level label.  Default is vacuum / the first declared level.
+    level label.  Default is vacuum / the first declared level.  A name
+    that is not a factor, an occupation that is not an integer below the
+    dimension, or a label that is not a level raises :class:`AlgebraError`.
     """
     occupation = occupation or {}
+    for name in occupation:
+        space.index(name)
     dims = trunc.dims(space)
     vecs = []
     for k, f in enumerate(space.factors):
         v = np.zeros(dims[k], dtype=np.complex128)
-        choice = occupation.get(f.name, 0)
-        if f.kind == FOCK:
-            n = int(choice)
-            if not 0 <= n < dims[k]:
-                raise AlgebraError(f"occupation {n} outside cutoff of {f.name!r}")
-            v[n] = 1.0
+        choice = occupation.get(f.name)
+        if choice is None:
+            v[0] = 1.0
+        elif f.kind != FOCK:
+            v[f.level_index(choice)] = 1.0
+        elif isinstance(choice, (int, np.integer)) and 0 <= choice < dims[k]:
+            v[choice] = 1.0
         else:
-            idx = f.level_index(str(choice)) if not isinstance(choice, int) or choice != 0 \
-                else 0
-            v[idx] = 1.0
+            raise AlgebraError(f"occupation {choice!r} of {f.name!r} is not an "
+                               f"integer from 0 to the cutoff {dims[k] - 1}")
         vecs.append(v)
-    psi = vecs[0]
-    for v in vecs[1:]:
-        psi = np.kron(psi, v)
+    psi = reduce(np.kron, vecs)
     return np.outer(psi, psi.conj())
 
 
@@ -221,12 +211,15 @@ class _Lindblad:
     rates) folded once; rho need not be Hermitian (the delay evolution starts
     from B rho_ss).  Called as ``f(t, rho_flat)`` it is the product form on
     the whole flattened matrix.  ``differences`` holds q_i - q_j per entry,
-    all zero when the model does not conserve q.
+    all zero when the model does not conserve q.  ``to_matrix`` is the
+    module's, in this truncation and with these parameters.
     """
 
     def __init__(self, model: ModelDefinition, trunc: TruncationSpec,
                  params: dict):
-        H = to_matrix(model.hamiltonian, trunc, params)
+        self.space, self.trunc = model.space, trunc
+        self.to_matrix = partial(to_matrix, trunc=trunc, params=params)
+        H = self.to_matrix(model.hamiltonian)
         loss = np.zeros_like(H)
         self.jumps = []
         for c, rate in zip(model.jumps, model.rates):
@@ -235,7 +228,7 @@ class _Lindblad:
                     "symbolic average in a rate; the oracle needs numeric rates"
                 )
             g = complex(rate.evaluate(params))
-            cm = to_matrix(c, trunc, params)
+            cm = self.to_matrix(c)
             loss += 0.5 * g * (cm.conj().T @ cm)
             self.jumps.append((g * cm, cm.conj().T))
         self.K, self.K_right = -1j * H - loss, 1j * H - loss
@@ -293,30 +286,38 @@ class _Lindblad:
             out += gc[ik] * cd[lj]
         return out
 
-    def rhs(self, sector: Sector):
-        """d/dt of the entries of ``sector``."""
-        if not self.is_dense(sector):
-            return self
-        L = self.matrix(sector)
-        return lambda t, x: L @ x
+    def evolve(self, start: np.ndarray, taus, observe: np.ndarray | None = None):
+        """The sectors of ``start`` and its evolution at ``taus`` (from 0).
+
+        One row per tau: the entries in those sectors, or tr(observe rho)
+        for the operator matrix ``observe``.  A dense sector is propagated
+        exactly; the product form is integrated.
+        """
+        sector = self.sector(start)
+        x0 = sector.gather(start)
+        weights = None if observe is None else sector.weights(observe)
+        if self.is_dense(sector):
+            return sector, propagate(self.matrix(sector), x0, taus,
+                                     observe=weights)
+        return sector, integrate(self, x0, (0.0, taus[-1]), saveat=taus,
+                                 observe=weights).states
 
 
 def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
               tspan, params: dict | None = None, saveat=None) -> MEResult:
     """Evolve the Lindblad master equation; attach truncation-leak warnings.
 
-    Only the charge sectors that ``rho0`` occupies are evolved.  Population
-    above the leak threshold in any top Fock level means the cutoff is
-    biting; the result is still returned, flagged.
+    Only the charge sectors that ``rho0`` occupies are evolved, exactly on
+    a dense sector; the state is sampled at ``saveat``, or else at the two
+    ends of ``tspan``.  Population above the leak threshold in any top Fock
+    level means the cutoff is biting; the result is still returned, flagged.
     """
     params = params or {}
     lindblad = _Lindblad(model, trunc, params)
-    rho0 = np.asarray(rho0, dtype=np.complex128)
-    sector = lindblad.sector(rho0)
-    traj = integrate(lindblad.rhs(sector), sector.gather(rho0), tspan,
-                     saveat=saveat)
-    result = MEResult(traj.times, traj.states, sector, model.space, trunc,
-                      params)
+    times = sample_times(tspan, saveat)
+    sector, states = lindblad.evolve(np.asarray(rho0, dtype=np.complex128),
+                                     times - float(tspan[0]))
+    result = MEResult(times, states, sector, model.space, trunc, params)
     # populations are diagonal entries, which sector 0 holds
     diagonal = np.flatnonzero(sector.rows == sector.cols)
     levels = lindblad.levels[:, sector.rows[diagonal]]
@@ -325,20 +326,21 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
         if f.kind != FOCK:
             continue
         on_top = diagonal[levels[k] == dims[k] - 1]
-        top = float(np.max(np.abs(traj.states[:, on_top].sum(axis=1))))
+        top = float(np.max(np.abs(states[:, on_top].sum(axis=1))))
         if top > LEAK_THRESHOLD:
-            result.warnings.append(
-                f"truncation leak on {f.name!r}: top-level population {top:.3e}"
-            )
+            result.warnings.append(f"truncation leak on {f.name!r}: "
+                                   f"top-level population {top:.3e}")
     return result
 
 
-def _steady(lindblad: _Lindblad, rho0: np.ndarray) -> np.ndarray:
+def _steady(lindblad: _Lindblad, rho0: np.ndarray | None) -> np.ndarray:
     """The steady density matrix: the null vector of sector 0, or the
-    product form integrated to rest from ``rho0``."""
+    product form integrated to rest from ``rho0`` (the ground state if None)."""
     # a unique steady state commutes with q, so it lies in sector 0
     sector = lindblad.sector(np.eye(lindblad.dim))
     if not lindblad.is_dense(sector):
+        if rho0 is None:
+            rho0 = ground_state(lindblad.space, lindblad.trunc)
         x0 = sector.gather(np.asarray(rho0, dtype=np.complex128))
         return sector.scatter(steady_state(lindblad, x0))
     _, sigma, vh = np.linalg.svd(lindblad.matrix(sector))
@@ -357,18 +359,27 @@ def me_steady(model: ModelDefinition, trunc: TruncationSpec,
               params: dict | None = None) -> np.ndarray:
     """Steady density matrix of the master equation, with unit trace.
 
-    With charge sectors, the steady state lies in sector 0 (q_i = q_j).
-    There the generator is a dense matrix and the state is its right
-    singular vector of the smallest singular value.  It is unique when the
-    second-smallest singular value is at least 1e-10 of the largest;
-    otherwise :class:`NonStationaryError` is raised with both values.  A
-    product-form generator is integrated from ``rho0`` until its residual
-    vanishes.
+    With charge sectors it is the right singular vector of sector 0's
+    matrix for the smallest singular value, unique when the second-smallest
+    is at least 1e-10 of the largest (else :class:`NonStationaryError`).  A
+    product form is integrated from ``rho0`` until its residual vanishes.
     """
-    params = params or {}
-    if rho0 is None:
-        rho0 = ground_state(model.space, trunc)
-    return _steady(_Lindblad(model, trunc, params), rho0)
+    return _steady(_Lindblad(model, trunc, params or {}), rho0)
+
+
+def me_correlation(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
+                   B: QExpr, rho: np.ndarray, taus, params: dict | None = None):
+    """C(tau) = tr(A e^{L tau}(B rho)) at non-negative, increasing ``taus``
+    from the reference state ``rho``: the steady state for the regression
+    theorem, or an evolved state for a correlation at a finite time.  B rho
+    evolves on the charge sectors it occupies, exactly on a dense sector.
+    """
+    return _correlation(_Lindblad(model, trunc, params or {}), A, B, rho, taus)
+
+
+def _correlation(lindblad: _Lindblad, A, B, rho, taus) -> np.ndarray:
+    start = lindblad.to_matrix(B) @ np.asarray(rho, dtype=np.complex128)
+    return lindblad.evolve(start, taus, lindblad.to_matrix(A))[1]
 
 
 def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
@@ -377,25 +388,13 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
                 tau_points: int = 4096):
     """Power spectrum via the regression theorem and a Fourier quadrature.
 
-    The steady state is reached first; then B rho_ss evolves under the same
-    generator, on the charge sectors it occupies, and tr(A rho(tau)) is
-    transformed on the requested grid.  On a dense sector the evolution is
-    exact, by ``propagate`` of the sector matrix on the uniform tau grid;
-    the product form is integrated.  Returns (omegas, S, C_tau, taus).
+    The steady state (``me_steady``) is the reference state of
+    ``me_correlation`` on a uniform grid of ``tau_points`` over [0,
+    ``tau_max``], and that C(tau) is transformed on the requested grid.
+    Returns (omegas, S, C_tau, taus).
     """
-    params = params or {}
-    if rho0 is None:
-        rho0 = ground_state(model.space, trunc)
-    lindblad = _Lindblad(model, trunc, params)
-    start = to_matrix(B, trunc, params) @ _steady(lindblad, rho0)
-    sector = lindblad.sector(start)
+    lindblad = _Lindblad(model, trunc, params or {})
     taus = np.linspace(0.0, tau_max, tau_points)
-    weights = sector.weights(to_matrix(A, trunc, params))
-    if lindblad.is_dense(sector):
-        corr = propagate(lindblad.matrix(sector), sector.gather(start), taus,
-                         observe=weights)
-    else:
-        corr = integrate(lindblad, sector.gather(start), (0.0, tau_max),
-                         saveat=taus, observe=weights).states
-    spectrum = fourier_spectrum(taus, corr, omegas)
-    return np.asarray(omegas, dtype=float), spectrum, corr, taus
+    corr = _correlation(lindblad, A, B, _steady(lindblad, rho0), taus)
+    return (np.asarray(omegas, dtype=float),
+            fourier_spectrum(taus, corr, omegas), corr, taus)

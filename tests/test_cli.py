@@ -14,6 +14,9 @@ from cqf.cli import (deserialize, load, parse_model, pretty_print, save,
 from cqf.cli.dsl import MAX_NESTING, ObservableDef
 from cqf.cli import main as main_mod
 from cqf.cli.main import main
+from cqf import correlation as correlation_mod
+from cqf import oracle as oracle_mod
+from cqf.oracle import TruncationSpec, ground_state, me_evolve
 from cqf.cli.observables import mandel_q, occupation_to_kelvin, temperature
 from cqf.errors import AlgebraError, ArchiveError, CqfError, DslError, EvaluationError
 
@@ -285,6 +288,12 @@ MALFORMED_LINES = [
     ('oracle_state atom (', '7:19: expected a level label or occupation number'),
     ('oracle_state atom e x', "7:21: unexpected 'x' at end of directive"),
     ('oracle_state 3 e', "7:14: expected a name, found '3'"),
+    ('oracle_state q 3', "7:1: oracle_state expects SPACE STATE with SPACE one "
+                         "of the model's spaces (c, atom), got 'q 3': no space "
+                         "'q'"),
+    ('oracle_state c e', "7:16: expected a non-negative integer, found 'e'"),
+    ('oracle_state c 2.5', "7:16: expected a non-negative integer, found '2.5'"),
+    ('oracle_state atom 1', "7:1: space 'atom' has no level '1' (levels: g, e)"),
 ]
 
 
@@ -567,6 +576,51 @@ def test_spectrum_with_oracle_column(laser_file, capsys):
     assert len(rows) == 102
 
 
+def test_correlate_oracle_transforms_nothing(laser_file, monkeypatch):
+    """The oracle's C(tau) for ``correlate`` is computed on the command's own
+    tau grid; no spectrum is computed and thrown away."""
+    def transform(*args):
+        raise AssertionError("a Fourier transform ran")
+
+    monkeypatch.setattr(main_mod, "spectrum_fourier", transform)
+    monkeypatch.setattr(correlation_mod, "fourier_spectrum", transform)
+    monkeypatch.setattr(oracle_mod, "fourier_spectrum", transform)
+    out = laser_file + ".corr_me.csv"
+    assert main(["correlate", laser_file, "--oracle", "--cutoff", "cavity=8",
+                 "--tau-max", "10", "--tau-points", "101", "--out", out]) == 0
+    rows = open(out).read().splitlines()
+    assert rows[0] == "tau,ReC,ImC,ME:ReC,ME:ImC"
+    assert len(rows) == 102
+
+
+@pytest.mark.parametrize("command, bound", [("correlate", 0.05),
+                                            ("spectrum", 0.5)])
+def test_co_evolved_oracle_starts_from_the_oracle_state(tmp_path, capsys,
+                                                        command, bound):
+    """With ``--no-steady`` the oracle's reference state is its initial
+    state evolved over ``tspan``, as the cumulant side's, not its steady
+    state.  Short of steady state the order-2 closure is off by 0.022 in
+    C(t, tau) and 0.18 of the peak in S; against the oracle's steady state
+    the deviations read 0.71 and 2.7."""
+    text = open(LASER_FILE, encoding="utf-8").read()
+    path = tmp_path / "laser.cqm"
+    path.write_text(text.replace("tspan 0 20", "tspan 0 0.5"), encoding="utf-8")
+    out = str(tmp_path / "out.csv")
+    assert main([command, str(path), "--no-steady", "--oracle", "--cutoff",
+                 "cavity=10", "--tau-max", "10", "--out", out]) == 0
+    deviation = float(capsys.readouterr().out.split("deviation: ")[1].split()[0])
+    assert deviation < bound
+    if command == "correlate":
+        # C(t, 0) is the oracle's <a'a> at the end of tspan
+        parsed = parse_model(path.read_text(encoding="utf-8"))
+        trunc = TruncationSpec(((0, 10),))
+        me = me_evolve(parsed.model, trunc, ground_state(parsed.model.space, trunc),
+                       (0.0, 0.5), dict(parsed.options.param_values))
+        n = me.expect(qmul(*parsed.options.correlation))[-1].real
+        first = open(out).read().splitlines()[1].split(",")
+        assert abs(float(first[3]) - n) < 1e-9
+
+
 def test_spectrum_non_steady_matches_steady_after_relaxation(laser_file, tmp_path):
     """Co-evolving the delay averages from a relaxed state gives the same
     spectrum as the steady-state resolvent."""
@@ -811,6 +865,8 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("correlate", ["--tau-max", "-5"]),
     ("spectrum", ["--oracle", "--tau-max", "0"]),
     ("spectrum", ["--no-steady", "--tau-max", "-1"]),
+    ("correlate", ["--no-steady"]),
+    ("spectrum", ["--no-steady"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):
@@ -821,6 +877,9 @@ def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
     monkeypatch.setattr(main_mod, "meanfield_derive", derive)
     assert main([command, laser_file, *flags]) == 1
     err = capsys.readouterr().err
+    if flags == ["--no-steady"]:
+        assert err == "error: co-evolved correlations need --tau-max\n"
+        return
     assert err.startswith(f"error: {flags[-2]} expects ")
     assert repr(flags[-1]) in err
     if "=3" in flags[-1]:

@@ -15,7 +15,6 @@ from cqf import (FILTER_PHASE, I_UNIT, CorrelationSystem, EquationSet,
                  initial_state, meanfield_derive, qmul, spectrum_fourier,
                  spectrum_laplace, state_mapping, steady_state)
 from cqf.algebra import ScalarExpr
-from cqf.correlation import _lower as lower_correlation
 from cqf.correlation import fourier_spectrum
 from cqf.errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from cqf.meanfield import MeanfieldEquation
@@ -321,7 +320,7 @@ def _assert_one_term_table(cs, state, params):
 
 def _scattered(cs, state, params):
     """M and d summed term by term from the folded term table."""
-    prog = lower_correlation(cs)
+    prog = cs.program
     state_map = state_mapping(tuple(eq.lhs for eq in cs.base.equations), state)
     n = prog.size
     M = np.zeros((n, n), dtype=np.complex128)

@@ -13,7 +13,6 @@ from cqf import (FILTER_PHASE, ModelDefinition, StepperConfig, average_symbol,
                  fock, initial_state, integrate, lower, meanfield_derive,
                  parameters, product, qmul, state_mapping, steady_state)
 from cqf.cli import parse_model
-from cqf.correlation import _lower as lower_correlation
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
 from cqf.numerics.steppers import (_TABLEAUX, _RealSystem, _hermite, expm,
                                    propagate)
@@ -159,7 +158,7 @@ def _correlation_program(laser):
     cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
     rng = np.random.default_rng(5)
     constants = {sym: complex(*rng.normal(size=2)) for sym in cs.constants}
-    return lower_correlation(cs).bind(params, constants)
+    return cs.program.bind(params, constants)
 
 
 def _bound(build):

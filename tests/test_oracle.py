@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cqf import (ModelDefinition, StepperConfig, TruncationSpec, adjoint,
-                 destroy, fock, ground_state, identity, integrate, me_evolve,
-                 me_spectrum, me_steady, nlevel, parameters, product, qmul,
-                 to_matrix, transition)
-from cqf.errors import EvaluationError, NonStationaryError
+                 destroy, fock, ground_state, identity, integrate,
+                 me_correlation, me_evolve, me_spectrum, me_steady, nlevel,
+                 parameters, product, qmul, to_matrix, transition)
+from cqf import oracle as oracle_mod
+from cqf.errors import AlgebraError, EvaluationError, NonStationaryError
 from cqf.oracle import _Lindblad, fourier_spectrum
 
 
@@ -106,6 +107,33 @@ def test_generator_is_the_lindblad_form_on_non_hermitian_states(laser):
         expected += g * (cm @ rho @ cm.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
     got = rhs(0.0, rho.reshape(-1)).reshape(dim, dim)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("occupation, message", [
+    ({"cavty": 1}, "no factor named 'cavty'"),
+    ({"c": 3}, "occupation 3 of 'c' is not an integer from 0 to the cutoff 2"),
+    ({"c": "1"}, "occupation '1' of 'c' is not an integer"),
+    ({"c": 1.5}, "occupation 1.5 of 'c' is not an integer"),
+    ({"atom": "f"}, "space 'atom' has no level 'f'"),
+], ids=["unknown-name", "above-cutoff", "string-occupation",
+        "fractional-occupation", "unknown-level"])
+def test_ground_state_refuses_what_it_does_not_know(occupation, message):
+    space = product(fock("c"), nlevel("atom", ("g", "e")))
+    trunc = TruncationSpec.uniform(space, 2)
+    with pytest.raises(AlgebraError, match=message):
+        ground_state(space, trunc, occupation)
+    rho = ground_state(space, trunc, {"c": 2, "atom": "e"})
+    assert rho[5, 5] == 1.0 and np.count_nonzero(rho) == 1
+
+
+def test_evolution_without_saveat_returns_the_span_ends(laser, trunc):
+    rho0 = ground_state(laser.space, trunc)
+    res = me_evolve(laser.model, trunc, rho0, (1.0, 3.0), params=laser.params)
+    assert res.times.tolist() == [1.0, 3.0]
+    assert np.array_equal(res.rhos[0], rho0)
+    later = me_evolve(laser.model, trunc, rho0, (0.0, 2.0), params=laser.params,
+                      saveat=[2.0])
+    assert np.max(np.abs(res.final - later.final)) < 1e-14
 
 
 def test_trace_and_hermiticity_preserved(laser):
@@ -214,7 +242,8 @@ def test_sector_evolution_of_a_cavity_coherence(laser):
     assert len(res.sector) < lindblad.dim ** 2
     assert set(np.unique(lindblad.differences[res.sector.rows, res.sector.cols])) \
         == {-1, 0, 1}
-    full = integrate(lindblad, rho0.reshape(-1), (0.0, 4.0), saveat=times)
+    full = integrate(lindblad, rho0.reshape(-1), (0.0, 4.0),
+                     StepperConfig.rk45(rtol=1e-13, atol=1e-16), saveat=times)
     reference = full.states.reshape(len(times), lindblad.dim, lindblad.dim)
     assert np.max(np.abs(np.array(res.rhos) - reference)) < 1e-9
     a = to_matrix(laser.a, trunc)
@@ -254,6 +283,41 @@ def test_sector_spectrum_of_a_two_sector_operator(laser, monkeypatch):
     ref_s = fourier_spectrum(taus, ref_corr, omegas)
     assert np.max(np.abs(corr - ref_corr)) < 1e-9 * np.max(np.abs(ref_corr))
     assert np.max(np.abs(s - ref_s)) < 1e-9 * np.max(np.abs(ref_s))
+
+
+def test_dense_sectors_are_propagated_and_never_stepped(laser, monkeypatch):
+    """On the laser's sectors ``me_evolve``, ``me_correlation`` and
+    ``me_spectrum`` all run without the Runge-Kutta stepper."""
+    def stepper(*args, **kwargs):
+        raise AssertionError("a dense sector was stepped")
+
+    monkeypatch.setattr(oracle_mod, "integrate", stepper)
+    trunc = TruncationSpec.uniform(laser.space, 8)
+    rho0 = ground_state(laser.space, trunc)
+    res = me_evolve(laser.model, trunc, rho0, (0.0, 2.0), params=laser.params,
+                    saveat=np.linspace(0.0, 2.0, 5))
+    n = int(np.prod(trunc.dims(laser.space)))
+    assert len(res.sector) < n * n      # a dense sector, not the product form
+    rho = me_steady(laser.model, trunc, params=laser.params)
+    corr = me_correlation(laser.model, trunc, laser.ad, laser.a, rho,
+                          np.linspace(0.0, 5.0, 11), params=laser.params)
+    assert corr.shape == (11,)
+    me_spectrum(laser.model, trunc, laser.ad, laser.a, np.linspace(-1, 1, 5),
+                params=laser.params, tau_max=5.0, tau_points=11)
+
+
+def test_me_correlation_is_the_correlation_of_me_spectrum(laser):
+    """``me_spectrum`` transforms exactly ``me_correlation`` from the steady
+    state: the same C(tau), bit for bit."""
+    trunc = TruncationSpec.uniform(laser.space, 8)
+    _, _, corr, taus = me_spectrum(laser.model, trunc, laser.ad, laser.a,
+                                   np.linspace(-3.0, 3.0, 31),
+                                   params=laser.params, tau_max=15.0,
+                                   tau_points=1501)
+    rho = me_steady(laser.model, trunc, params=laser.params)
+    alone = me_correlation(laser.model, trunc, laser.ad, laser.a, rho, taus,
+                           params=laser.params)
+    assert np.array_equal(alone, corr)
 
 
 def test_sectors_ignore_rounding_noise_in_the_start(laser):
