@@ -299,6 +299,13 @@ class ScalarExpr:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return _ZERO
+        if len(self.terms) == 1 == len(other.terms):
+            # one term is normalized as it stands: Gaussian rationals have no
+            # zero divisors, so its coefficient is nonzero
+            (c1, p1, a1), = self.terms
+            (c2, p2, a2), = other.terms
+            return ScalarExpr(((c1 * c2, _merge_pow(p1, p2, _param_key),
+                                _merge_pow(a1, a2, _avg_key)),))
         return ScalarExpr.from_terms([
             (c1 * c2, _merge_pow(p1, p2, _param_key), _merge_pow(a1, a2, _avg_key))
             for c1, p1, a1 in self.terms for c2, p2, a2 in other.terms])

@@ -17,8 +17,8 @@ from ..algebra.averages import AverageSymbol
 from ..algebra.operators import TRANSITION, FundamentalOp
 from ..algebra.scalars import ComplexRational, Parameter, ScalarExpr
 from ..algebra.spaces import HilbertSpace, ProductSpace
-from ..completion import FILTER_NONE, FILTER_PHASE, filter_by_name
-from ..cumulant import OrderSpec
+from ..completion import filter_by_name
+from ..cumulant import FILTER_NONE, FILTER_PHASE, OrderSpec
 from ..errors import AlgebraError, ArchiveError
 from ..meanfield import EquationSet, MeanfieldEquation
 

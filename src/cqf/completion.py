@@ -8,45 +8,25 @@ length exist over a model's operator alphabet.  The same breadth-first loop,
 :func:`close`, also closes the delay systems of two-time correlations, with
 their own derive step and their own rule for which averages need equations.
 
-Filter functions exclude averages from the completed system (their
-occurrences are replaced by zero during expansion).  The phase-invariant
-preset keeps only averages with zero net excitation phase, the selection
-rule of laser-type models with a U(1) symmetry.
+Filter functions (:class:`~cqf.cumulant.FilterFunction`) exclude averages
+from the completed system (their occurrences are replaced by zero during
+expansion).  The phase-invariant preset keeps only averages with zero net
+excitation phase, the selection rule of laser-type models with a U(1)
+symmetry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .algebra.averages import AverageSymbol
-from .cumulant import OrderSpec, expansion_memo
+from .cumulant import (FILTER_NONE, FILTER_PHASE, FilterFunction, OrderSpec,
+                       expansion_memo)
 from .errors import AlgebraError, CapacityError
-from .meanfield import EquationSet, MeanfieldEquation, derive_equation, meanfield_derive
+from .meanfield import (EquationSet, MeanfieldEquation, by_orbit, derive_equation,
+                        meanfield_derive)
 
 DEFAULT_EQUATION_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class FilterFunction:
-    """Predicate deciding whether an average is kept.
-
-    Must be deterministic and conjugation-symmetric: an average and its
-    conjugate are kept or dropped together.  Filters compare by name and
-    predicate object; an expansion memo keys on the filter, so same-named
-    filters with different predicates never share results.
-    """
-
-    name: str
-    predicate: Callable[[AverageSymbol], bool]
-
-    def keep(self, sym: AverageSymbol) -> bool:
-        return self.predicate(sym)
-
-
-FILTER_NONE = FilterFunction("none", lambda sym: True)
-
-FILTER_PHASE = FilterFunction("phase", lambda sym: sym.phase() == 0)
 
 
 def filter_by_name(name: str) -> FilterFunction:
@@ -110,7 +90,8 @@ def complete(eqs: EquationSet, order=None, filt="inherit",
 
     Passing a different order or filter than the set was derived with
     re-derives the existing equations under the new settings first, so the
-    whole system is expanded consistently.
+    whole system is expanded consistently.  Identical subsystems are
+    derived once per orbit (:func:`~cqf.meanfield.by_orbit`).
     """
     if eqs.archived:
         raise AlgebraError(
@@ -127,8 +108,9 @@ def complete(eqs: EquationSet, order=None, filt="inherit",
                  for eq in eqs]
         eqs = meanfield_derive(seeds, eqs.model, spec, active_filter)
 
-    equations = close(
-        eqs.equations,
+    derive = by_orbit(
         lambda family: derive_equation(family.ops, eqs.model, spec, active_filter),
-        _needs_equation(active_filter), max_equations, progress)
+        eqs.model, spec, active_filter)
+    equations = close(eqs.equations, derive, _needs_equation(active_filter),
+                      max_equations, progress)
     return EquationSet(tuple(equations), eqs.model, spec, active_filter)

@@ -38,7 +38,8 @@ from .algebra.scalars import ScalarExpr
 from .completion import close, missing_averages
 from .cumulant import expand_scalar, expansion_memo
 from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
-from .meanfield import EquationSet, MeanfieldEquation, average, derive_equation, qle_rhs
+from .meanfield import (EquationSet, MeanfieldEquation, average, by_orbit,
+                        derive_equation, qle_rhs)
 from .numerics.lowering import RHSProgram, lower, state_mapping
 from .numerics.steppers import (StepperConfig, Trajectory, _uniform_step,
                                 integrate, propagate, sample_times)
@@ -122,11 +123,12 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
     if missing_averages(eqs):
         raise ClosureError("the underlying equation set is not closed")
 
-    def derive(sym: AverageSymbol) -> MeanfieldEquation:
+    def derive_family(sym: AverageSymbol) -> MeanfieldEquation:
         if sym.is_correlation:
             return _corr_equation(sym, eqs)
         return derive_equation(sym.ops, eqs.model, eqs.order, eqs.filter)
 
+    derive = by_orbit(derive_family, eqs.model, eqs.order, eqs.filter)
     a_ops, b_ops = A.monomial_ops(), B.monomial_ops()
     equations = close([derive(correlation_symbol(a_ops, b_ops))], derive,
                       lambda fam: fam.is_correlation or not steady)

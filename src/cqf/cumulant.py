@@ -36,6 +36,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra.averages import AverageSymbol, average_symbol
 from .algebra.operators import TRANSITION
@@ -140,6 +141,28 @@ class OrderSpec:
         if not orders:
             return self.maximum
         return max(orders) if self.reducer == "max" else min(orders)
+
+
+@dataclass(frozen=True)
+class FilterFunction:
+    """Predicate deciding whether an average is kept.
+
+    Must be deterministic and conjugation-symmetric: an average and its
+    conjugate are kept or dropped together.  Filters compare by name and
+    predicate object; an expansion memo keys on the filter, so same-named
+    filters with different predicates never share results.
+    """
+
+    name: str
+    predicate: Callable[[AverageSymbol], bool]
+
+    def keep(self, sym: AverageSymbol) -> bool:
+        return self.predicate(sym)
+
+
+FILTER_NONE = FilterFunction("none", lambda sym: True)
+
+FILTER_PHASE = FilterFunction("phase", lambda sym: sym.phase() == 0)
 
 
 def _keeps(filt, sym: AverageSymbol) -> bool:

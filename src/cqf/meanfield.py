@@ -24,6 +24,7 @@ from .algebra.scalars import I_UNIT, Parameter, ScalarExpr
 from .algebra.spaces import ProductSpace
 from .cumulant import OrderSpec, expand_scalar, expansion_memo
 from .errors import AlgebraError, SpaceMismatchError
+from .symmetry import Symmetry
 
 _HALF = Fraction(1, 2)
 
@@ -169,6 +170,32 @@ def derive_equation(ops: tuple, model: ModelDefinition, order,
     return MeanfieldEquation(average_symbol(tuple(ops)), rhs)
 
 
+def by_orbit(derive, model: ModelDefinition, order, filt):
+    """``derive``, which takes a family, made to take any occurrence and to
+    run once per orbit of the model's identical subsystems.
+
+    The returned function derives each orbit's representative (see
+    :class:`~cqf.symmetry.Symmetry`) and relabels that equation for every
+    other member; it keeps the representatives for its own lifetime, and
+    each derivation call makes a fresh one.  When the group is trivial,
+    every family is its own representative.
+    """
+    group = Symmetry.of(model, order, filt)
+    derived: dict = {}
+
+    def derive_occurrence(sym: AverageSymbol) -> MeanfieldEquation:
+        perm, moved = group.representative(sym)
+        eq = derived.get(moved.family)
+        if eq is None:
+            eq = derived[moved.family] = derive(moved.family)
+        if not perm and not moved.conjugated:
+            return eq
+        back = {image: k for k, image in perm.items()}
+        return MeanfieldEquation(sym, group.relabel(eq.rhs, back, moved.conjugated))
+
+    return derive_occurrence
+
+
 @expansion_memo()
 def meanfield_derive(ops, model: ModelDefinition, order,
                      filt=None) -> EquationSet:
@@ -180,6 +207,8 @@ def meanfield_derive(ops, model: ModelDefinition, order,
     skipped, keeping left-hand sides pairwise distinct.
     """
     spec = OrderSpec.of(order).for_space(model.space)
+    derive = by_orbit(lambda family: derive_equation(family.ops, model, spec, filt),
+                      model, spec, filt)
     seen: set[AverageSymbol] = set()
     equations = []
     for op in ops:
@@ -188,9 +217,9 @@ def meanfield_derive(ops, model: ModelDefinition, order,
         seq = op.monomial_ops()
         if not seq:
             raise AlgebraError("the identity has trivial dynamics; nothing to derive")
-        family = average_symbol(seq).family
-        if family in seen:
+        sym = average_symbol(seq)
+        if sym.family in seen:
             continue
-        seen.add(family)
-        equations.append(derive_equation(seq, model, spec, filt))
+        seen.add(sym.family)
+        equations.append(derive(sym))
     return EquationSet(tuple(equations), model, spec, filt)
