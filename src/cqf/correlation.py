@@ -39,7 +39,7 @@ from .completion import close, missing_averages
 from .cumulant import expand_scalar, expansion_memo
 from .errors import AlgebraError, ClosureError, ConsistencyError, EvaluationError
 from .meanfield import (EquationSet, MeanfieldEquation, average, by_orbit,
-                        derive_equation, qle_rhs)
+                        qle_rhs)
 from .numerics.lowering import RHSProgram, lower, state_mapping
 from .numerics.steppers import (StepperConfig, Trajectory, _uniform_step,
                                 integrate, propagate, sample_times)
@@ -113,7 +113,7 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
     ``eqs`` must be a closed equation set for the underlying model; its
     order and filter govern the expansion here as well.  Correlation
     variables always get equations; plain averages get them only when
-    co-evolved, and are otherwise the steady constants.
+    co-evolved, taken from ``eqs``, and are otherwise the steady constants.
     """
     if eqs.archived:
         raise AlgebraError(
@@ -123,10 +123,16 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
     if missing_averages(eqs):
         raise ClosureError("the underlying equation set is not closed")
 
+    base = {eq.lhs.family: eq for eq in eqs}
+
     def derive_family(sym: AverageSymbol) -> MeanfieldEquation:
         if sym.is_correlation:
             return _corr_equation(sym, eqs)
-        return derive_equation(sym.ops, eqs.model, eqs.order, eqs.filter)
+        eq = base.get(sym)
+        if eq is None:
+            raise ClosureError(f"co-evolved average {render_average(sym)} has "
+                               "no equation in the underlying set")
+        return MeanfieldEquation(sym, eq.lhs.orient(eq.rhs))
 
     derive = by_orbit(derive_family, eqs.model, eqs.order, eqs.filter)
     a_ops, b_ops = A.monomial_ops(), B.monomial_ops()

@@ -555,6 +555,43 @@ def test_spectrum_default_grid(laser_file):
     assert omegas[-1] == pytest.approx(np.pi)
 
 
+def test_spectrum_grid_may_start_below_zero(laser_file, capsys):
+    """A negative MIN needs the --omega=MIN:MAX:COUNT spelling; apart from
+    it, argparse reads -1:1:21 as a flag."""
+    out = laser_file + ".spec.csv"
+    assert main(["spectrum", laser_file, "--omega=-1:1:21", "--out", out]) == 0
+    rows = open(out).read().splitlines()
+    assert len(rows) == 22
+    assert float(rows[1].split(",")[0]) == -1.0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("correlate", ["--archive", "in.json"]),
+    ("spectrum", ["--archive", "in.json"]),
+    ("derive", ["--set", "g=1"]),
+])
+def test_flags_that_cannot_act_are_refused_at_parse_time(laser_file, capsys,
+                                                        command, flags):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, laser_file, *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+def test_solve_loads_an_archive_without_deriving(laser_file, capsys,
+                                                 monkeypatch):
+    assert main(["derive", laser_file]) == 0
+
+    def derive(*args):
+        raise AssertionError("solve derived instead of loading the archive")
+
+    monkeypatch.setattr(main_mod, "meanfield_derive", derive)
+    archive = laser_file + ".eqs.json"
+    assert main(["solve", laser_file, "--archive", archive,
+                 "--out", laser_file + ".csv"]) == 0
+    assert f"loaded 3 equations from {archive}" in capsys.readouterr().out
+
+
 def test_correlate_csv(laser_file):
     out = laser_file + ".corr.csv"
     assert main(["correlate", laser_file, "--out", out,
@@ -867,6 +904,9 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("spectrum", ["--no-steady", "--tau-max", "-1"]),
     ("correlate", ["--no-steady"]),
     ("spectrum", ["--no-steady"]),
+    ("solve", ["--cutoff", "cavity=x"]),
+    ("correlate", ["--cutoff", "atom=3"]),
+    ("solve", ["--archive", "in.json", "--order", "2,x"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):
