@@ -17,15 +17,15 @@ from .algebra import (AverageSymbol, ComplexRational, HilbertSpace, I_UNIT,
                       Parameter, ProductSpace, QExpr, ScalarExpr, adjoint,
                       average_symbol, commutator, correlation_symbol, create,
                       destroy, fock, identity, nlevel, parameters, product,
-                      qmul, scalar_evaluate, transition, zero)
+                      qmul, transition, zero)
 from .completion import complete, filter_by_name, missing_averages
 from .correlation import (CorrelationSystem, LinearSystem, SpectrumResult,
                           build_correlation_system, correlation_trajectory,
                           decay_time, initial_values, linearize_steady,
                           spectrum_fourier, spectrum_laplace)
-from .cumulant import (FILTER_NONE, FILTER_PHASE, FilterFunction, OrderSpec,
-                       expand_average, expand_scalar, joint_cumulant,
-                       moment_expansion_once, set_partitions)
+from .cumulant import (FILTER_PHASE, FilterFunction, OrderSpec, expand_average,
+                       expand_scalar, joint_cumulant, moment_expansion_once,
+                       set_partitions)
 from .meanfield import (EquationSet, MeanfieldEquation, ModelDefinition,
                         average, meanfield_derive, qle_rhs)
 from .numerics import (RHSProgram, StepperConfig, Trajectory, initial_state,

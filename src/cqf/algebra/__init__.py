@@ -8,7 +8,7 @@ from .qexpr import (QExpr, adjoint, append_frozen, commutator, create,
 from .render import (latex_average, latex_scalar, render_average,
                      render_qexpr, render_scalar)
 from .scalars import (CR_I, CR_ONE, CR_ZERO, ComplexRational, I_UNIT,
-                      Parameter, ScalarExpr, parameters, scalar_evaluate)
+                      Parameter, ScalarExpr, parameters)
 from .spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace, fock, nlevel, product
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "latex_average", "latex_scalar", "render_average", "render_qexpr",
     "render_scalar",
     "CR_I", "CR_ONE", "CR_ZERO", "ComplexRational", "I_UNIT", "Parameter",
-    "ScalarExpr", "parameters", "scalar_evaluate",
+    "ScalarExpr", "parameters",
     "FOCK", "NLEVEL", "HilbertSpace", "ProductSpace", "fock", "nlevel",
     "product",
 ]

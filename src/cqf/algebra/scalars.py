@@ -450,8 +450,3 @@ def parameters(names: str, real: bool = True) -> tuple[ScalarExpr, ...]:
     """Declare parameters from a whitespace-separated name list."""
     return tuple(ScalarExpr.from_parameter(Parameter(n, real))
                  for n in names.split())
-
-
-def scalar_evaluate(x: ScalarExpr, params: dict | None = None,
-                    averages: dict | None = None) -> complex:
-    return x.evaluate(params, averages)

@@ -15,12 +15,13 @@ from fractions import Fraction
 
 from ..algebra.averages import AverageSymbol
 from ..algebra.operators import TRANSITION, FundamentalOp
+from ..algebra.qexpr import zero
 from ..algebra.scalars import ComplexRational, Parameter, ScalarExpr
 from ..algebra.spaces import HilbertSpace, ProductSpace
 from ..completion import filter_by_name
-from ..cumulant import FILTER_NONE, FILTER_PHASE, OrderSpec
+from ..cumulant import FILTER_PHASE, OrderSpec
 from ..errors import AlgebraError, ArchiveError
-from ..meanfield import EquationSet, MeanfieldEquation
+from ..meanfield import EquationSet, MeanfieldEquation, ModelDefinition
 
 FORMAT = "cqf-equations-1"
 
@@ -61,13 +62,13 @@ def _scalar_entry(x: ScalarExpr, op_index: dict, param_index: dict) -> list:
 
 
 def serialize(eqs: EquationSet) -> str:
-    if not any(eqs.filter is preset for preset in (None, FILTER_NONE, FILTER_PHASE)):
+    if eqs.filter not in (None, FILTER_PHASE):
         raise ArchiveError("only preset filters are archivable")
-    spaces = [{"name": f.name, "kind": f.kind,
-               "levels": list(f.levels), "ground": f.ground}
-              for f in (eqs.model.space.factors if eqs.model is not None else ())]
     if eqs.model is None:
         raise ArchiveError("equation set carries no space information")
+    spaces = [{"name": f.name, "kind": f.kind,
+               "levels": list(f.levels), "ground": f.ground}
+              for f in eqs.model.space.factors]
     params = sorted({p.name: p for eq in eqs.equations
                      for _, pf, _ in eq.rhs.terms for p, _, _ in pf}.values())
     param_index = {p.name: k for k, p in enumerate(params)}
@@ -143,7 +144,7 @@ def _rebuild(doc: dict) -> EquationSet:
                               reducer=order_doc["reducer"]).for_space(space)
     except AlgebraError as err:
         raise ArchiveError(f"bad archive order: {err}") from None
-    filt = None if doc["filter"] == "none" else filter_by_name(doc["filter"])
+    filt = filter_by_name(doc["filter"])
 
     equations = []
     for entry in doc["equations"]:
@@ -162,9 +163,6 @@ def _rebuild(doc: dict) -> EquationSet:
                 key=lambda e: e[0].sort_key))
             terms.append((coeff, pfac, afac))
         equations.append(MeanfieldEquation(lhs, ScalarExpr.from_terms(terms)))
-    from ..meanfield import ModelDefinition
-    from ..algebra.qexpr import zero
-
     # Archives carry no Hamiltonian: attach a placeholder model that pins
     # the space, and flag the set so re-derivation paths refuse it.
     stub = ModelDefinition(space, zero(space), (), (), tuple(params), ())

@@ -41,6 +41,7 @@ level label) at the directive keyword.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -51,6 +52,7 @@ from ..algebra.qexpr import QExpr, create, destroy, transition
 from ..algebra.render import join_signed, render_op, scaled
 from ..algebra.scalars import I_UNIT, Parameter, ScalarExpr
 from ..algebra.spaces import FOCK, NLEVEL, HilbertSpace, ProductSpace, fock, nlevel
+from ..completion import filter_by_name
 from ..cumulant import OrderSpec
 from ..errors import CqfError, DslError
 from ..meanfield import ModelDefinition
@@ -115,9 +117,13 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
 
 def _number(token: Token) -> Fraction:
     try:
-        return Fraction(Decimal(token.text))
+        value = Decimal(token.text)
     except InvalidOperation:
         raise DslError(f"bad number {token.text!r}", token.line, token.column) from None
+    if not math.isfinite(float(value)):
+        raise DslError(f"number {token.text!r} is beyond float range",
+                       token.line, token.column)
+    return Fraction(value)
 
 
 @dataclass
@@ -436,8 +442,7 @@ def _read_directive(directive: str, p: _ExprParser, scope: _Scope):
 
     elif directive == "filter":
         name = _ident(p)
-        if name not in ("none", "phase"):
-            raise CqfError(f"unknown filter preset {name!r}")
+        filter_by_name(name)            # refuses an unknown preset
         options.filter_name = name
         _expect_line_end(p)
 
@@ -616,7 +621,10 @@ def _to_float(value) -> float:
     if isinstance(value, ScalarExpr) and value.is_number:
         c = value.constant_value()
         if not c.im:
-            return float(c.re)
+            try:
+                return float(c.re)
+            except OverflowError:
+                raise CqfError("expected a real number within float range") from None
     raise CqfError("expected a real number")
 
 

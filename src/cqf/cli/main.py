@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -123,9 +124,13 @@ def _run_options(parsed: ParsedModel, args) -> RunOptions:
     for item in args.set:
         name, _, text = item.partition("=")
         try:
-            opts.param_values[name.strip()] = float(text)
+            value = float(text)
         except ValueError:
-            raise CqfError(f"--set expects NAME=VALUE, got {item!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise CqfError(f"--set expects NAME=VALUE with a finite VALUE, "
+                           f"got {item!r}")
+        opts.param_values[name.strip()] = value
     declared = {p.name for p in parsed.model.parameters}
     unknown = set(opts.param_values) - declared
     if unknown:
@@ -151,8 +156,8 @@ def _run_options(parsed: ParsedModel, args) -> RunOptions:
     for name in ("dt", "rtol", "atol"):
         value = getattr(args, name)
         if value is not None:
-            if not value > 0:
-                raise CqfError(f"--{name} expects a positive number, "
+            if not 0 < value < math.inf:
+                raise CqfError(f"--{name} expects a finite positive number, "
                                f"got '{value:g}'")
             setattr(opts, name, value)
     opts.method = args.method or opts.method
@@ -197,10 +202,10 @@ def _closed_equations(parsed: ParsedModel, opts: RunOptions, archive=None,
     order = opts.order
     if order is None:
         raise CqfError("no expansion order given (model file 'order' or --order)")
-    filt = None if opts.filter_name == "none" else filter_by_name(opts.filter_name)
     if not opts.track:
         raise CqfError("model file needs a 'track' line naming the seed operators")
-    eqs = meanfield_derive(opts.track, parsed.model, order, filt)
+    eqs = meanfield_derive(opts.track, parsed.model, order,
+                           filter_by_name(opts.filter_name))
     closed = complete(eqs, progress=progress)
     print(f"derived {len(closed)} equations "
           f"(order {order.uniform or list(order.per_subspace)}, "
@@ -295,8 +300,8 @@ def _correlation(parsed: ParsedModel, opts: RunOptions, args, oracle,
     if args.tau_points < 2:
         raise CqfError(f"--tau-points expects an integer of at least 2, "
                        f"got '{args.tau_points}'")
-    if args.tau_max is not None and not args.tau_max > 0:
-        raise CqfError(f"--tau-max expects a positive number, "
+    if args.tau_max is not None and not 0 < args.tau_max < math.inf:
+        raise CqfError(f"--tau-max expects a finite positive number, "
                        f"got '{args.tau_max:g}'")
     if opts.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
@@ -333,7 +338,7 @@ def _correlation(parsed: ParsedModel, opts: RunOptions, args, oracle,
     if not oracle:
         return grid, values, None
     trunc, rho0 = oracle
-    rho = (me_steady(parsed.model, trunc, rho0, params) if steady
+    rho = (me_steady(parsed.model, trunc, params) if steady
            else me_evolve(parsed.model, trunc, rho0, opts.tspan, params).final)
     return grid, values, lambda taus: me_correlation(
         parsed.model, trunc, *opts.correlation, rho, taus, params)
@@ -356,12 +361,13 @@ def cmd_spectrum(parsed: ParsedModel, opts: RunOptions, args, oracle):
     if args.omega:
         try:
             lo, hi, count = args.omega.split(":")
-            omegas = np.linspace(float(lo), float(hi), int(count))
+            with np.errstate(invalid="ignore", over="ignore"):
+                omegas = np.linspace(float(lo), float(hi), int(count))
         except ValueError:
             omegas = np.empty(0)
-        if omegas.size == 0:
-            raise CqfError("--omega expects MIN:MAX:COUNT with COUNT >= 1, "
-                           f"got {args.omega!r}")
+        if omegas.size == 0 or not np.isfinite(omegas).all():
+            raise CqfError("--omega expects MIN:MAX:COUNT with finite MIN and "
+                           f"MAX and COUNT >= 1, got {args.omega!r}")
     omegas, spectrum, oracle_corr = _correlation(parsed, opts, args, oracle,
                                                  omegas)
     header = ["omega", "S"]

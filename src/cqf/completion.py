@@ -10,9 +10,9 @@ their own derive step and their own rule for which averages need equations.
 
 Filter functions (:class:`~cqf.cumulant.FilterFunction`) exclude averages
 from the completed system (their occurrences are replaced by zero during
-expansion).  The phase-invariant preset keeps only averages with zero net
-excitation phase, the selection rule of laser-type models with a U(1)
-symmetry.
+expansion); no filter is ``None``.  The phase-invariant preset keeps only
+averages with zero net excitation phase, the selection rule of laser-type
+models with a U(1) symmetry.
 """
 
 from __future__ import annotations
@@ -20,18 +20,17 @@ from __future__ import annotations
 from typing import Callable
 
 from .algebra.averages import AverageSymbol
-from .cumulant import (FILTER_NONE, FILTER_PHASE, FilterFunction, OrderSpec,
-                       expansion_memo)
+from .cumulant import FILTER_PHASE, FilterFunction, expansion_memo
 from .errors import AlgebraError, CapacityError
-from .meanfield import (EquationSet, MeanfieldEquation, by_orbit, derive_equation,
-                        meanfield_derive)
+from .meanfield import EquationSet, MeanfieldEquation, by_orbit, derive_equation
 
 DEFAULT_EQUATION_CAP = 100_000
 
 
-def filter_by_name(name: str) -> FilterFunction:
+def filter_by_name(name: str) -> FilterFunction | None:
+    """The preset of that name; ``"none"`` (or nothing) is no filter, None."""
     if name in ("none", "", None):
-        return FILTER_NONE
+        return None
     if name == "phase":
         return FILTER_PHASE
     raise AlgebraError(f"unknown filter preset {name!r}")
@@ -83,34 +82,21 @@ def close(equations, derive: Callable[[AverageSymbol], MeanfieldEquation],
 
 
 @expansion_memo()
-def complete(eqs: EquationSet, order=None, filt="inherit",
-             max_equations: int = DEFAULT_EQUATION_CAP,
+def complete(eqs: EquationSet, max_equations: int = DEFAULT_EQUATION_CAP,
              progress: Callable[[int], None] | None = None) -> EquationSet:
-    """Close an equation set by deriving every missing average, breadth-first.
-
-    Passing a different order or filter than the set was derived with
-    re-derives the existing equations under the new settings first, so the
-    whole system is expanded consistently.  Identical subsystems are
-    derived once per orbit (:func:`~cqf.meanfield.by_orbit`).
+    """Close an equation set by deriving every missing average, breadth-first,
+    at the set's own order and filter; for another order or filter, complete
+    a fresh ``meanfield_derive``.  Identical subsystems are derived once per
+    orbit (:func:`~cqf.meanfield.by_orbit`).
     """
     if eqs.archived:
         raise AlgebraError(
             "this equation set was loaded from an archive and carries no "
             "model; completion needs the original model file"
         )
-    spec = eqs.order if order is None else OrderSpec.of(order)
-    active_filter = eqs.filter if filt == "inherit" else filt
-    if spec != eqs.order or active_filter is not eqs.filter:
-        from .algebra.qexpr import QExpr
-        from .algebra.scalars import ScalarExpr
-
-        seeds = [QExpr(eqs.model.space, ((eq.lhs.factors, ScalarExpr.one()),))
-                 for eq in eqs]
-        eqs = meanfield_derive(seeds, eqs.model, spec, active_filter)
-
     derive = by_orbit(
-        lambda family: derive_equation(family.ops, eqs.model, spec, active_filter),
-        eqs.model, spec, active_filter)
-    equations = close(eqs.equations, derive, _needs_equation(active_filter),
+        lambda family: derive_equation(family.ops, eqs.model, eqs.order, eqs.filter),
+        eqs.model, eqs.order, eqs.filter)
+    equations = close(eqs.equations, derive, _needs_equation(eqs.filter),
                       max_equations, progress)
-    return EquationSet(tuple(equations), eqs.model, spec, active_filter)
+    return EquationSet(tuple(equations), eqs.model, eqs.order, eqs.filter)

@@ -17,10 +17,11 @@ program, with the steady averages bound as external constants.  Such a
 system is solved exactly, not integrated: C(tau) by the propagator
 exp(M dtau), and the spectrum from the one-sided Fourier transform
 evaluated via the resolvent: solve (i w - M) x = y(0) + d/(i w) per
-frequency and take S(w) = 2 Re x_primary.  Away from steady state the
-single-time averages are co-evolved in the delay instead, and the delay
-equations are integrated by a Runge-Kutta stepper.  The Wiener-Khinchin
-route transforms a sampled C(tau) by the trapezoid rule, as a chirp-z
+frequency and take S(w) = 2 Re x_0 (the primary variable).  Away from
+steady state the single-time averages are co-evolved in the delay instead,
+and the delay equations are integrated by a Runge-Kutta stepper.  Either
+way the delay program and the equal-time y(0) are lowered and expanded
+once; later calls only evaluate them.  The Wiener-Khinchin route transforms a sampled C(tau) by the trapezoid rule, as a chirp-z
 transform when the tau and w grids are uniform.
 """
 
@@ -52,7 +53,6 @@ class LinearSystem:
     matrix: np.ndarray
     drive: np.ndarray
     y0: np.ndarray
-    primary: int = 0
 
 
 @dataclass
@@ -88,11 +88,41 @@ class CorrelationSystem:
 
     @cached_property
     def program(self) -> RHSProgram:
-        """The delay equations as a term table, steady averages as
-        externals; lowered on first use and then kept."""
+        """The delay equations as a term table, steady averages as externals.
+
+        Steady, every term must be constant or carry one unconjugated
+        correlation variable to the first power; anything else indicates a
+        broken frozen-factor invariant.
+        """
         eqs = EquationSet(self.equations, self.base.model, self.base.order,
                           self.base.filter)
-        return lower(eqs, external=self.constants)
+        prog = lower(eqs, external=self.constants)
+        if self.steady and any(
+                sum(power for _, _, power in term.state_factors) > 1
+                or any(conjd for _, conjd, _ in term.state_factors)
+                for term in prog.terms):
+            raise ConsistencyError("right-hand side is nonlinear in "
+                                   "correlation variables")
+        return prog
+
+    @cached_property
+    def equal_time(self) -> tuple[ScalarExpr, ...]:
+        """y(0) as single-time expressions, one per variable."""
+        with expansion_memo():
+            return tuple(_equal_time(sym, self.base) for sym in self.layout)
+
+
+def _equal_time(sym: AverageSymbol, base: EquationSet) -> ScalarExpr:
+    """A correlation variable at zero delay: the product A_k B multiplied
+    out (rewrite rules apply now), averaged and expanded.  A plain average
+    is its own expression."""
+    if not sym.is_correlation:
+        return ScalarExpr.from_average(sym)
+    space = base.model.space
+    prod = ScalarExpr.sum(
+        average(QExpr(space, ((ops, ScalarExpr.one()),))) * coeff
+        for coeff, ops in mul_sequences(space, sym.ops, sym.b_ops))
+    return expand_scalar(prod, base.order, base.filter)
 
 
 def _corr_equation(sym: AverageSymbol, base: EquationSet) -> MeanfieldEquation:
@@ -153,55 +183,25 @@ def _as_state_map(cs: CorrelationSystem, state) -> dict:
 
 
 def initial_values(cs: CorrelationSystem, state) -> np.ndarray:
-    """y(0): at zero delay each correlation variable is a single-time average.
-
-    The equal-time product A_k B is multiplied out (rewrite rules apply
-    now), averaged, expanded, and evaluated in the provided state of the
-    underlying system.
-    """
+    """y(0): the system's equal-time expressions evaluated in the provided
+    state of the underlying system."""
     state_map = _as_state_map(cs, state)
-    space = cs.base.model.space
     y0 = np.empty(len(cs.equations), dtype=np.complex128)
-    for k, eq in enumerate(cs.equations):
-        sym = eq.lhs
+    for k, (eq, expr) in enumerate(zip(cs.equations, cs.equal_time)):
         try:
-            if sym.is_correlation:
-                prod = ScalarExpr.sum(
-                    average(QExpr(space, ((ops, ScalarExpr.one()),))) * coeff
-                    for coeff, ops in mul_sequences(space, sym.ops, sym.b_ops))
-                expanded = expand_scalar(prod, cs.base.order, cs.base.filter)
-                y0[k] = expanded.evaluate(averages=state_map)
-            else:
-                value = state_map.get(sym.family)
-                if value is None:
-                    raise EvaluationError(
-                        f"average {render_average(sym.family)} is unbound"
-                    )
-                y0[k] = sym.orient(value)
+            y0[k] = expr.evaluate(averages=state_map)
         except EvaluationError as err:
             raise ClosureError(
-                f"initial value of {render_average(sym)} needs an average "
+                f"initial value of {render_average(eq.lhs)} needs an average "
                 f"outside the system state: {err}"
             ) from None
     return y0
 
 
 def _steady_dynamics(cs: CorrelationSystem, state_map: dict, params: dict):
-    """The layout, J and d of the steady delay dynamics dy/dtau = J y + d.
-
-    Once steady averages and parameters are folded in, every term must be
-    constant or carry exactly one unconjugated correlation variable to the
-    first power; anything else indicates a broken frozen-factor invariant.
-    J is then the Jacobian and d the derivative at zero of the bound delay
-    program, over its full layout.
-    """
+    """The layout, J and d of the steady (affine) delay dynamics dy/dtau =
+    J y + d: the Jacobian and the value at zero of the bound delay program."""
     prog = cs.program
-    for term in prog.terms:
-        if (sum(power for _, _, power in term.state_factors) > 1
-                or any(conjd for _, conjd, _ in term.state_factors)):
-            raise ConsistencyError(
-                "right-hand side is nonlinear in correlation variables"
-            )
     bound = prog.bind(params, state_map)
     zero = np.zeros(prog.size, dtype=np.complex128)
     return prog.layout, bound.jacobian(zero)[0], bound(0.0, zero)
@@ -211,10 +211,9 @@ def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem
     """The affine steady-state delay dynamics, read off the lowered term table.
 
     M and d are the Jacobian and the derivative at zero of the bound delay
-    program (see ``_steady_dynamics``, which also checks that it is
-    affine).  Delay-constant variables (frozen products with no delayed
-    factor, as produced by coherent driving) are folded into the drive
-    vector rather than kept as trivial rows.
+    program (see ``_steady_dynamics``).  Delay-constant variables (frozen
+    products with no delayed factor, as produced by coherent driving) are
+    folded into the drive vector rather than kept as trivial rows.
     """
     if not cs.steady:
         raise AlgebraError("linearization requires a steady-state system")
@@ -229,7 +228,7 @@ def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem
     dyn = [k for k, lhs in enumerate(layout) if lhs.ops]
     const = [k for k, lhs in enumerate(layout) if not lhs.ops]
     drive = d[dyn] + M[np.ix_(dyn, const)] @ y0[const]
-    return LinearSystem(M[np.ix_(dyn, dyn)], drive, y0[dyn], 0)
+    return LinearSystem(M[np.ix_(dyn, dyn)], drive, y0[dyn])
 
 
 def spectrum_laplace(ls: LinearSystem, omegas) -> SpectrumResult:
@@ -255,7 +254,7 @@ def spectrum_laplace(ls: LinearSystem, omegas) -> SpectrumResult:
         b = ls.y0 + (ls.drive / (1j * w) if drive_nonzero else 0.0)
         try:
             x = np.linalg.solve(1j * w * eye - ls.matrix, b)
-            values[k] = 2.0 * x[ls.primary].real
+            values[k] = 2.0 * x[0].real
         except np.linalg.LinAlgError:
             values[k] = np.nan
             skipped.append(float(w))

@@ -160,8 +160,6 @@ class FilterFunction:
         return self.predicate(sym)
 
 
-FILTER_NONE = FilterFunction("none", lambda sym: True)
-
 FILTER_PHASE = FilterFunction("phase", lambda sym: sym.phase() == 0)
 
 

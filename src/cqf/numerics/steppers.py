@@ -120,10 +120,19 @@ class Trajectory:
         raise AlgebraError(f"symbol {sym!r} not in trajectory layout")
 
 
+def _finite(times, what: str) -> np.ndarray:
+    """``times`` as floats; the first that is NaN or infinite is refused."""
+    times = np.asarray(times, dtype=float)
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise AlgebraError(f"{what} {times[bad.argmax()]:g} is not finite")
+    return times
+
+
 def checked_saveat(saveat, t0: float, t1: float) -> np.ndarray:
-    """``saveat`` as floats: at least one time, strictly increasing, and
-    none outside [t0, t1]."""
-    saveat = np.asarray(saveat, dtype=float)
+    """``saveat`` as floats: at least one time, all finite, strictly
+    increasing, and none outside [t0, t1]."""
+    saveat = _finite(saveat, "saveat time")
     if len(saveat) == 0:
         raise AlgebraError("saveat must contain at least one time")
     if np.any(np.diff(saveat) <= 0):
@@ -138,8 +147,9 @@ def checked_saveat(saveat, t0: float, t1: float) -> np.ndarray:
 
 def sample_times(tspan, saveat=None) -> np.ndarray:
     """The times an exact solution over ``tspan`` is sampled at: ``saveat``,
-    checked, or else the two ends of ``tspan``."""
-    t0, t1 = float(tspan[0]), float(tspan[1])
+    checked, or else the two ends of ``tspan``, which must be finite with
+    t0 < t1."""
+    t0, t1 = _finite([tspan[0], tspan[1]], "tspan end").tolist()
     if not t0 < t1:
         raise AlgebraError("tspan must satisfy t0 < t1")
     return np.array([t0, t1]) if saveat is None else checked_saveat(saveat, t0, t1)
@@ -238,9 +248,7 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
         layout = getattr(getattr(f, "program", None), "layout", None)
-    t0, t1 = float(tspan[0]), float(tspan[1])
-    if not t0 < t1:
-        raise AlgebraError("tspan must satisfy t0 < t1")
+    t0, t1 = sample_times(tspan).tolist()
     tab = _TABLEAUX[cfg.method]
     y = np.array(u0, dtype=np.complex128)
     recorder = _Recorder(saveat, t0, t1, y, observe)
@@ -501,7 +509,7 @@ def propagate(M, y0, taus, drive=None, observe=None) -> np.ndarray:
     when ``observe`` (an array whose last axis runs over the state) is
     given, in which case no more than one block of states is ever held.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = _finite(taus, "propagation time")
     if len(taus) == 0 or taus[0] < 0 or np.any(np.diff(taus) <= 0):
         raise AlgebraError("propagation times must be non-negative and "
                            "strictly increasing")

@@ -23,7 +23,8 @@ a density matrix (``me_evolve``) or of B rho for the regression C(tau)
 (``me_correlation``), is exp(L tau) applied by ``propagate``.  A model that
 does not conserve q, or sectors too large for a dense matrix to pay, keep
 the product form K rho + rho K_r + sum g c rho c' on the whole matrix,
-integrated by the same Runge-Kutta steppers as the moment engine.
+integrated by the same Runge-Kutta steppers as the moment engine; its
+steady state is integrated to rest from the ground state.
 Intended for desk-scale verification (dimensions up to a few thousand), not
 production simulation.
 """
@@ -333,15 +334,13 @@ def me_evolve(model: ModelDefinition, trunc: TruncationSpec, rho0: np.ndarray,
     return result
 
 
-def _steady(lindblad: _Lindblad, rho0: np.ndarray | None) -> np.ndarray:
+def _steady(lindblad: _Lindblad) -> np.ndarray:
     """The steady density matrix: the null vector of sector 0, or the
-    product form integrated to rest from ``rho0`` (the ground state if None)."""
+    product form integrated to rest from the ground state."""
     # a unique steady state commutes with q, so it lies in sector 0
     sector = lindblad.sector(np.eye(lindblad.dim))
     if not lindblad.is_dense(sector):
-        if rho0 is None:
-            rho0 = ground_state(lindblad.space, lindblad.trunc)
-        x0 = sector.gather(np.asarray(rho0, dtype=np.complex128))
+        x0 = sector.gather(ground_state(lindblad.space, lindblad.trunc))
         return sector.scatter(steady_state(lindblad, x0))
     _, sigma, vh = np.linalg.svd(lindblad.matrix(sector))
     if not sigma[-2] > UNIQUE_THRESHOLD * sigma[0]:
@@ -355,16 +354,16 @@ def _steady(lindblad: _Lindblad, rho0: np.ndarray | None) -> np.ndarray:
 
 
 def me_steady(model: ModelDefinition, trunc: TruncationSpec,
-              rho0: np.ndarray | None = None,
               params: dict | None = None) -> np.ndarray:
     """Steady density matrix of the master equation, with unit trace.
 
     With charge sectors it is the right singular vector of sector 0's
     matrix for the smallest singular value, unique when the second-smallest
     is at least 1e-10 of the largest (else :class:`NonStationaryError`).  A
-    product form is integrated from ``rho0`` until its residual vanishes.
+    product form is integrated from the ground state until its residual
+    vanishes; a unique steady state does not depend on where that starts.
     """
-    return _steady(_Lindblad(model, trunc, params or {}), rho0)
+    return _steady(_Lindblad(model, trunc, params or {}))
 
 
 def me_correlation(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
@@ -384,8 +383,7 @@ def _correlation(lindblad: _Lindblad, A, B, rho, taus) -> np.ndarray:
 
 def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
                 B: QExpr, omegas, params: dict | None = None,
-                rho0: np.ndarray | None = None, tau_max: float = 60.0,
-                tau_points: int = 4096):
+                tau_max: float = 60.0, tau_points: int = 4096):
     """Power spectrum via the regression theorem and a Fourier quadrature.
 
     The steady state (``me_steady``) is the reference state of
@@ -395,6 +393,6 @@ def me_spectrum(model: ModelDefinition, trunc: TruncationSpec, A: QExpr,
     """
     lindblad = _Lindblad(model, trunc, params or {})
     taus = np.linspace(0.0, tau_max, tau_points)
-    corr = _correlation(lindblad, A, B, _steady(lindblad, rho0), taus)
+    corr = _correlation(lindblad, A, B, _steady(lindblad), taus)
     return (np.asarray(omegas, dtype=float),
             fourier_spectrum(taus, corr, omegas), corr, taus)

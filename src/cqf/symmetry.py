@@ -34,7 +34,7 @@ from collections import Counter
 from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
 from .algebra.operators import FundamentalOp, adjoint_sequence
 from .algebra.scalars import ScalarExpr
-from .cumulant import FILTER_NONE, FILTER_PHASE, OrderSpec
+from .cumulant import FILTER_PHASE, OrderSpec
 
 
 class Symmetry:
@@ -58,8 +58,7 @@ class Symmetry:
         for k, f in enumerate(model.space.factors):
             candidates.setdefault((f.kind, f.levels, f.ground), []).append(k)
         candidates = [ks for ks in candidates.values() if len(ks) > 1]
-        if not candidates or not any(filt is f for f in (None, FILTER_NONE,
-                                                         FILTER_PHASE)):
+        if not candidates or filt not in (None, FILTER_PHASE):
             return Symmetry()
         names: dict = {}
         for expr in (model.hamiltonian, *model.jumps):

@@ -294,6 +294,17 @@ MALFORMED_LINES = [
     ('oracle_state c e', "7:16: expected a non-negative integer, found 'e'"),
     ('oracle_state c 2.5', "7:16: expected a non-negative integer, found '2.5'"),
     ('oracle_state atom 1', "7:1: space 'atom' has no level '1' (levels: g, e)"),
+    ('param x = 1e999', "7:11: number '1e999' is beyond float range"),
+    ('param x = -2*1e999', "7:14: number '1e999' is beyond float range"),
+    ('param x = 1e300*1e300', '7:1: expected a real number within float range'),
+    ('tspan 0 1e999', "7:9: number '1e999' is beyond float range"),
+    ('tspan -1e999 0', "7:8: number '1e999' is beyond float range"),
+    ('dt 1e999', "7:4: number '1e999' is beyond float range"),
+    ('rtol 1e999', "7:6: number '1e999' is beyond float range"),
+    ('atol 1e999', "7:6: number '1e999' is beyond float range"),
+    ("initial <a'*a> = 1e999", "7:18: number '1e999' is beyond float range"),
+    ('observable T = temperature(a, 1e999)',
+     "7:31: number '1e999' is beyond float range"),
 ]
 
 
@@ -376,7 +387,7 @@ def test_archived_sets_refuse_rederivation(laser):
     from cqf.errors import AlgebraError
 
     with pytest.raises(AlgebraError):
-        complete_fn(restored, order=4)
+        complete_fn(restored)
     with pytest.raises(AlgebraError):
         build_correlation_system(laser.ad, laser.a, restored)
 
@@ -471,6 +482,33 @@ def test_temperature_conversion_matches_room_temperature(laser):
     traj = _fake_trajectory(laser, {nb_sym: np.array([4e6])})
     t = temperature(laser.a, 1e7, traj)
     assert abs(t[0] - 300.0) < 10.0
+
+
+def test_built_in_observables_are_their_functions(three_level):
+    """``evaluate_observables`` gives ``mandel_q`` and ``temperature`` of the
+    trajectory it is handed, and refuses a kind it does not know."""
+    from cqf import initial_state, integrate, lower
+    from cqf.cli import evaluate_observables
+
+    seeds = [qmul(three_level.ad, three_level.a), three_level.s(3, 3),
+             three_level.s(2, 2)]
+    closed = complete(meanfield_derive(seeds, three_level.model, 4, None))
+    prog = lower(closed)
+    traj = integrate(prog.bind(three_level.params), initial_state(prog.layout),
+                     (0.0, 2.0), StepperConfig.rk4(0.01),
+                     saveat=np.linspace(0.0, 2.0, 21))
+    defs = [ObservableDef("Q", "mandel_q", mode=three_level.a),
+            ObservableDef("T", "temperature", mode=three_level.a, omega=1e7)]
+    out = evaluate_observables(defs, traj, closed.order, closed.filter,
+                               three_level.params)
+    q = mandel_q(three_level.a, traj)
+    assert not np.isnan(q).all()
+    assert np.array_equal(out["Q"], q, equal_nan=True)
+    assert np.array_equal(out["T"], temperature(three_level.a, 1e7, traj))
+    assert np.any(out["T"] > 0)
+    with pytest.raises(EvaluationError, match="unknown observable kind 'bogus'"):
+        evaluate_observables([ObservableDef("x", "bogus")], traj,
+                             closed.order, closed.filter)
 
 
 # -- command-line driver -------------------------------------------------------
@@ -907,6 +945,15 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("solve", ["--cutoff", "cavity=x"]),
     ("correlate", ["--cutoff", "atom=3"]),
     ("solve", ["--archive", "in.json", "--order", "2,x"]),
+    ("solve", ["--set", "g=inf"]),
+    ("solve", ["--set", "g=nan"]),
+    ("solve", ["--dt", "inf"]),
+    ("solve", ["--rtol", "nan"]),
+    ("solve", ["--method", "rk45", "--atol", "inf"]),
+    ("correlate", ["--tau-max", "inf"]),
+    ("correlate", ["--tau-max", "nan"]),
+    ("spectrum", ["--omega", "0.1:inf:5"]),
+    ("spectrum", ["--omega", "nan:1:5"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):

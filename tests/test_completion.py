@@ -2,7 +2,7 @@
 
 import pytest
 
-from cqf import (FILTER_NONE, FILTER_PHASE, average_symbol, complete,
+from cqf import (FILTER_PHASE, average_symbol, complete, filter_by_name,
                  meanfield_derive, missing_averages, qmul)
 from cqf.errors import CapacityError
 from conftest import make_tavis
@@ -63,16 +63,6 @@ def test_seed_independence(laser):
     assert rhs_by_family[0] == rhs_by_family[1] == rhs_by_family[2]
 
 
-def test_completion_can_raise_the_order(laser):
-    eqs2 = meanfield_derive([qmul(laser.ad, laser.a)], laser.model, 2,
-                            FILTER_PHASE)
-    closed4 = complete(eqs2, order=4)
-    assert len(closed4) == 6
-    for eq in closed4:
-        for sym in eq.rhs.averages():
-            assert sym.order <= 4
-
-
 def test_phase_filter_preset_properties(laser):
     f = FILTER_PHASE
     n_fam = _family(laser.ad, laser.a)
@@ -82,7 +72,11 @@ def test_phase_filter_preset_properties(laser):
     # conjugation symmetry
     sym = average_symbol(tuple(qmul(laser.a, laser.seg).monomial_ops()))
     assert f.keep(sym) == f.keep(sym.conj())
-    assert FILTER_NONE.keep(_family(laser.a))
+
+
+def test_no_filter_is_none():
+    assert filter_by_name("none") is None
+    assert filter_by_name("phase") is FILTER_PHASE
 
 
 @pytest.mark.parametrize("n_atoms", [2, 3, 5])

@@ -127,6 +127,31 @@ def test_initial_values_fixtures(laser, laser_steady):
     assert y0[1] == pytest.approx(np.conj(coh))
 
 
+def test_equal_time_expressions_are_expanded_once(laser, laser_steady,
+                                                  monkeypatch):
+    """A system expands its y(0) on first use; later initial values,
+    linearizations and steady trajectories only evaluate it."""
+    closed, _, yss = laser_steady
+    cs = build_correlation_system(laser.ad, laser.a, closed, steady=True)
+    calls = []
+    expand = correlation_module.expand_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(correlation_module, "expand_scalar", counting)
+    y0 = initial_values(cs, yss)
+    assert len(calls) == len(cs)
+    calls.clear()
+    assert np.array_equal(initial_values(cs, yss), y0)
+    ls = linearize_steady(cs, yss, laser.params)
+    traj = correlation_trajectory(cs, yss, (0.0, 1.0), params=laser.params)
+    assert calls == []
+    assert np.array_equal(ls.y0, y0)
+    assert np.array_equal(traj.states[0], y0)
+
+
 def test_sum_operators_are_rejected(laser, laser_steady):
     closed, _, _ = laser_steady
     with pytest.raises(AlgebraError):
@@ -152,7 +177,6 @@ def test_linearized_matrix_matches_hand_form(laser, laser_steady):
     ])
     assert np.allclose(ls.matrix, expected)
     assert np.allclose(ls.drive, 0.0)
-    assert ls.primary == 0
 
 
 def test_correlation_matrix_is_stable(laser, laser_steady):
@@ -193,7 +217,7 @@ def test_zero_initial_data_gives_zero_spectrum(laser, laser_steady):
     ls = linearize_steady(cs, yss, laser.params)
     from cqf.correlation import LinearSystem
 
-    silent = LinearSystem(ls.matrix, ls.drive, np.zeros_like(ls.y0), 0)
+    silent = LinearSystem(ls.matrix, ls.drive, np.zeros_like(ls.y0))
     S = spectrum_laplace(silent, np.linspace(-2, 2, 41))
     assert np.allclose(S.values, 0.0)
 
@@ -309,7 +333,7 @@ def test_driven_system_refuses_omega_zero(laser, laser_steady):
     ls = linearize_steady(cs, yss, laser.params)
     from cqf.correlation import LinearSystem
 
-    driven = LinearSystem(ls.matrix, np.array([0.5 + 0j, 0.0]), ls.y0, 0)
+    driven = LinearSystem(ls.matrix, np.array([0.5 + 0j, 0.0]), ls.y0)
     with pytest.raises(AlgebraError):
         spectrum_laplace(driven, np.linspace(-1, 1, 21))
     ok = spectrum_laplace(driven, np.array([0.5, 1.0]))

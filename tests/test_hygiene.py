@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/cqf imports a name it never uses, or
 anything beyond the standard library and numpy, or catches every
 exception; only the algebra builds expressions from raw accumulation maps,
-and every function the benchmark's tracer hooks still exists.
+and every function the benchmark's tracer hooks still exists and keeps the
+call shape the tracer relies on.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -11,6 +12,7 @@ base of an attribute access and in an annotation (also a quoted one).
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -186,18 +188,44 @@ def test_scan_sees_annotations_and_attribute_bases(tmp_path):
     assert _unused_imports(path) == ["3: D", "3: E"]
 
 
-def test_every_benchmark_hook_resolves(monkeypatch):
-    """A hook whose target is gone turns its per-layer metrics to null in
-    traced benchmark runs, so each (module, attribute) must resolve."""
+def _tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)   # for its dataclasses
     spec.loader.exec_module(tracer)
-    missing = []
-    for module_name, attr, _, _ in tracer.HOOKS:
-        owner = importlib.import_module(module_name)
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
-            missing.append(f"{module_name}.{attr}")
+    return tracer
+
+
+def _hook_target(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
+def test_every_benchmark_hook_resolves(monkeypatch):
+    """A hook whose target is gone turns its per-layer metrics to null in
+    traced benchmark runs, so each (module, attribute) must resolve."""
+    missing = [f"{module_name}.{attr}"
+               for module_name, attr, _, _ in _tracer(monkeypatch).HOOKS
+               if not callable(_hook_target(module_name, attr))]
     assert not missing, f"benchmark hooks without a target: {missing}"
+
+
+def test_rhs_hooks_keep_their_call_shape(monkeypatch):
+    """The tracer hands an "rhs" hook's target a counting wrapper in place
+    of its first positional argument, and takes an ``integrate`` call with
+    fewer than six positional arguments to carry no layout.  So the
+    derivative stays the first parameter of ``integrate`` and
+    ``steady_state``, and ``layout`` the sixth of ``integrate``."""
+    shapes = {}
+    for module_name, attr, name, kind in _tracer(monkeypatch).HOOKS:
+        if kind == "rhs":
+            params = list(inspect.signature(
+                _hook_target(module_name, attr)).parameters)
+            shapes[f"{module_name}.{attr}"] = params
+            assert params[0] == "f", (module_name, attr, params)
+            if name.endswith("integrate"):
+                assert params[5] == "layout", (module_name, attr, params)
+    assert any(key.endswith(".integrate") for key in shapes)
+    assert any(key.endswith(".steady_state") for key in shapes)

@@ -15,7 +15,7 @@ from cqf import (FILTER_PHASE, ModelDefinition, StepperConfig, average_symbol,
 from cqf.cli import parse_model
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
 from cqf.numerics.steppers import (_TABLEAUX, _RealSystem, _hermite, expm,
-                                   propagate)
+                                   propagate, sample_times)
 from conftest import make_tavis
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -367,6 +367,27 @@ def test_saveat_outside_span_is_an_error(saveat, bad):
     assert len(traj) == 2
 
 
+@pytest.mark.parametrize("saveat, bad", [([0.25, np.nan, 0.75], "nan"),
+                                         ([0.25, np.inf], "inf")])
+def test_non_finite_saveat_is_an_error(saveat, bad):
+    with pytest.raises(AlgebraError, match=f"saveat time {bad} is not finite"):
+        integrate(lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 1.0),
+                  saveat=saveat)
+    with pytest.raises(AlgebraError, match=f"saveat time {bad} is not finite"):
+        sample_times((0.0, 1.0), saveat)
+
+
+@pytest.mark.parametrize("tspan, bad", [((0.0, np.inf), "inf"),
+                                        ((np.nan, 1.0), "nan"),
+                                        ((-np.inf, 0.0), "-inf")])
+@pytest.mark.parametrize("saveat", [None, [0.5]])
+def test_non_finite_tspan_is_an_error(tspan, bad, saveat):
+    with pytest.raises(AlgebraError, match=f"tspan end {bad} is not finite"):
+        integrate(lambda t, y: -y, np.array([1.0 + 0j]), tspan, saveat=saveat)
+    with pytest.raises(AlgebraError, match=f"tspan end {bad} is not finite"):
+        sample_times(tspan, saveat)
+
+
 def test_nan_guard():
     def blower(t, y):
         return y * (1.0 / (0.5 - t) if t < 0.5 else np.nan)
@@ -510,6 +531,14 @@ def test_propagate_matches_the_eigen_solution(taus, driven):
 def test_propagate_refuses_bad_times(taus):
     M, y0, _ = _damped_system()
     with pytest.raises(AlgebraError, match="strictly increasing"):
+        propagate(M, y0, taus)
+
+
+@pytest.mark.parametrize("taus, bad", [([0.0, np.nan, 1.0], "nan"),
+                                       ([0.0, 1.0, np.inf], "inf")])
+def test_propagate_names_a_non_finite_time(taus, bad):
+    M, y0, _ = _damped_system()
+    with pytest.raises(AlgebraError, match=f"propagation time {bad} is not finite"):
         propagate(M, y0, taus)
 
 

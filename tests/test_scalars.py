@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqf import I_UNIT, Parameter, ScalarExpr, parameters, scalar_evaluate
+from cqf import I_UNIT, Parameter, ScalarExpr, parameters
 from cqf.algebra.scalars import CR_I, CR_ONE, ComplexRational
 from cqf.errors import AlgebraError, EvaluationError
 
@@ -101,13 +101,13 @@ def test_from_terms_is_idempotent():
 def test_evaluate_detuning_expression():
     delta, kappa = parameters("Δ κ")
     expr = -(I_UNIT * delta + kappa / 2)
-    value = scalar_evaluate(expr, {"Δ": 0.5, "κ": 1.0})
+    value = expr.evaluate({"Δ": 0.5, "κ": 1.0})
     assert value == pytest.approx(-0.5 - 0.5j)
 
 
 def test_evaluate_plain_parameter():
     g, = parameters("g")
-    assert scalar_evaluate(g, {"g": 1.5}) == pytest.approx(1.5)
+    assert g.evaluate({"g": 1.5}) == pytest.approx(1.5)
 
 
 def test_evaluate_average_times_parameter(laser):
@@ -116,14 +116,14 @@ def test_evaluate_average_times_parameter(laser):
     n_expr = average(qmul(laser.ad, laser.a))
     sym = next(iter(n_expr.averages()))
     expr = n_expr * laser.kappa
-    value = scalar_evaluate(expr, {"κ": 1.0}, {sym.family: 2.0})
+    value = expr.evaluate({"κ": 1.0}, {sym.family: 2.0})
     assert value == pytest.approx(2.0)
 
 
 def test_unbound_symbol_is_named():
     g, = parameters("g")
     with pytest.raises(EvaluationError, match="'g'"):
-        scalar_evaluate(g, {})
+        g.evaluate({})
 
 
 def test_conjugation_of_complex_parameter():
