@@ -17,6 +17,7 @@ normalizes once, and :meth:`ScalarExpr.from_terms` normalizes raw terms.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -91,7 +92,12 @@ class ComplexRational:
         return hash((self.x, self.y, self.d))
 
     def to_complex(self) -> complex:
-        return complex(self.x / self.d, self.y / self.d)
+        try:
+            return complex(self.x / self.d, self.y / self.d)
+        except OverflowError:
+            re, im = ((Decimal(v) / self.d).normalize() for v in (self.x, self.y))
+            raise EvaluationError(
+                f"coefficient {re:.6g}{im:+.6g}i is beyond float range") from None
 
     def __repr__(self) -> str:
         return f"ComplexRational({self.re}, {self.im})"

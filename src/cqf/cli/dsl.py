@@ -123,6 +123,9 @@ def _number(token: Token) -> Fraction:
     if not math.isfinite(float(value)):
         raise DslError(f"number {token.text!r} is beyond float range",
                        token.line, token.column)
+    if value and not float(value):
+        raise DslError(f"number {token.text!r} is below float range",
+                       token.line, token.column)
     return Fraction(value)
 
 

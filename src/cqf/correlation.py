@@ -44,6 +44,7 @@ from .meanfield import (EquationSet, MeanfieldEquation, average, by_orbit,
 from .numerics.lowering import RHSProgram, lower, state_mapping
 from .numerics.steppers import (StepperConfig, Trajectory, _uniform_step,
                                 integrate, propagate, sample_times)
+from .symmetry import Symmetry
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,8 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
                                "no equation in the underlying set")
         return MeanfieldEquation(sym, eq.lhs.orient(eq.rhs))
 
-    derive = by_orbit(derive_family, eqs.model, eqs.order, eqs.filter)
+    derive = by_orbit(derive_family, eqs.symmetry
+                      or Symmetry.of(eqs.model, eqs.order, eqs.filter))
     a_ops, b_ops = A.monomial_ops(), B.monomial_ops()
     equations = close([derive(correlation_symbol(a_ops, b_ops))], derive,
                       lambda fam: fam.is_correlation or not steady)

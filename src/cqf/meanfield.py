@@ -13,7 +13,7 @@ persists in a stored equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra.averages import AverageSymbol, average_symbol
@@ -136,7 +136,8 @@ class EquationSet:
 
     Sets loaded from an archive carry only a space-pinning stub model and
     are flagged ``archived``: they can be lowered and integrated but not
-    re-derived.
+    re-derived.  A derived set keeps the :class:`~cqf.symmetry.Symmetry`
+    it was derived under, for lowering to pass on; an archived one has none.
     """
 
     equations: tuple[MeanfieldEquation, ...]
@@ -144,6 +145,7 @@ class EquationSet:
     order: OrderSpec
     filter: object = None
     archived: bool = False
+    symmetry: Symmetry | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.equations)
@@ -170,9 +172,9 @@ def derive_equation(ops: tuple, model: ModelDefinition, order,
     return MeanfieldEquation(average_symbol(tuple(ops)), rhs)
 
 
-def by_orbit(derive, model: ModelDefinition, order, filt):
+def by_orbit(derive, group: Symmetry):
     """``derive``, which takes a family, made to take any occurrence and to
-    run once per orbit of the model's identical subsystems.
+    run once per orbit of ``group``, the model's identical subsystems.
 
     The returned function derives each orbit's representative (see
     :class:`~cqf.symmetry.Symmetry`) and relabels that equation for every
@@ -180,7 +182,6 @@ def by_orbit(derive, model: ModelDefinition, order, filt):
     each derivation call makes a fresh one.  When the group is trivial,
     every family is its own representative.
     """
-    group = Symmetry.of(model, order, filt)
     derived: dict = {}
 
     def derive_occurrence(sym: AverageSymbol) -> MeanfieldEquation:
@@ -207,8 +208,9 @@ def meanfield_derive(ops, model: ModelDefinition, order,
     skipped, keeping left-hand sides pairwise distinct.
     """
     spec = OrderSpec.of(order).for_space(model.space)
+    group = Symmetry.of(model, spec, filt)
     derive = by_orbit(lambda family: derive_equation(family.ops, model, spec, filt),
-                      model, spec, filt)
+                      group)
     seen: set[AverageSymbol] = set()
     equations = []
     for op in ops:
@@ -222,4 +224,4 @@ def meanfield_derive(ops, model: ModelDefinition, order,
             continue
         seen.add(sym.family)
         equations.append(derive(sym))
-    return EquationSet(tuple(equations), model, spec, filt)
+    return EquationSet(tuple(equations), model, spec, filt, symmetry=group)

@@ -21,7 +21,7 @@ steady-state linearization of correlation systems read the same table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class RHSProgram:
     parameters: tuple[str, ...]
     external: tuple[AverageSymbol, ...]
     terms: tuple[LoweredTerm, ...]
+    symmetry: object = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -85,9 +86,13 @@ class RHSProgram:
             key = (term.coeff, term.param_factors, term.external_factors)
             val = fold_cache.get(key)
             if val is None:
-                val = fold_cache[key] = term_value(
-                    term.coeff, term.param_factors, term.external_factors,
-                    params, constants)
+                try:
+                    val = fold_cache[key] = term_value(
+                        term.coeff, term.param_factors, term.external_factors,
+                        params, constants)
+                except EvaluationError as err:
+                    lhs = render_average(self.layout[term.equation])
+                    raise EvaluationError(f"in the equation of {lhs}: {err}") from None
             coeffs[k] = val
         return coeffs
 
@@ -109,12 +114,15 @@ class BoundRHS:
     sums each equation's contiguous segment of terms; an equation without
     terms gets one zero term, so every segment is non-empty.  Each call
     allocates its own buffers, so one bound program may be shared across
-    threads.
+    threads.  A program lowered from a set with identical subsystems also
+    has a derivative over one entry per orbit, :meth:`orbits`.
     """
 
     def __init__(self, program: RHSProgram, coeffs: np.ndarray):
         self.program = program
         self.size = n = program.size
+        self._folded = coeffs
+        self._orbits = None
         segments = [[] for _ in range(n)]
         for term, coeff in zip(program.terms, coeffs):
             reads = [idx + n * conjd for idx, conjd, power in term.state_factors
@@ -139,6 +147,14 @@ class BoundRHS:
         for row in self._rows[1:]:
             vals *= z[row]
         return np.add.reduceat(vals, self._starts)
+
+    def orbits(self) -> "Orbits | None":
+        """The derivative over one entry per orbit of the program's
+        :class:`~cqf.symmetry.Symmetry`, built on first use; None where
+        the group is trivial or a representative is not an entry."""
+        if self._orbits is None:
+            self._orbits = Orbits.of(self.program, self._folded) or False
+        return self._orbits or None
 
     def jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.size
@@ -166,6 +182,59 @@ class BoundRHS:
         jac = (np.bincount(cells, vals.real, 2 * n * n)
                + 1j * np.bincount(cells, vals.imag, 2 * n * n)).reshape(n, 2 * n)
         return jac[:, :n], jac[:, n:]
+
+
+class Orbits:
+    """A bound derivative ``f`` over the orbit representatives of a layout,
+    whose entry k is ``f``'s entry ``gather[k]``, conjugated where ``flip``
+    lists k.  A representative's equation reads each average as its
+    representative's occurrence, equal reads merged: exact where :meth:`fits`.
+    """
+
+    def __init__(self, f, reps, gather, flip, real):
+        self.f, self.reps, self.gather = f, reps, gather
+        self.flip, self.real = np.flatnonzero(flip), real
+
+    @staticmethod
+    def of(program: RHSProgram, coeffs) -> "Orbits | None":
+        group, layout = program.symmetry, program.layout
+        if group is None or not group.blocks:
+            return None
+        index = {lhs.family: k for k, lhs in enumerate(layout)}
+        moved = [group.representative(lhs)[1] for lhs in layout]
+        if not moved or any(m.family not in index for m in moved):
+            return None
+        rep = [index[m.family] for m in moved]
+        flip = [m.conjugated != layout[r].conjugated for m, r in zip(moved, rep)]
+        reps = sorted(set(rep))
+        at = {r: n for n, r in enumerate(reps)}
+        merged: dict = {}
+        for term, c in zip(program.terms, coeffs):
+            if term.equation in at:
+                reads = tuple(sorted((at[rep[k]], conj != flip[k], 1) for k, conj, power
+                                     in term.state_factors for _ in range(power)))
+                key = (at[term.equation], term.param_factors, reads, term.external_factors)
+                old = merged.get(key)
+                merged[key] = ((term.coeff, c) if old is None
+                               else (old[0] + term.coeff, old[1] + c))
+        terms = tuple(LoweredTerm(eq, coeff, pfac, sfac, efac) for
+                      (eq, pfac, sfac, efac), (coeff, _) in merged.items())
+        reduced = RHSProgram(tuple(layout[r] for r in reps), program.parameters,
+                             program.external, terms)
+        f = BoundRHS(reduced, [value for _, value in merged.values()])
+        real = [n for n, r in enumerate(reps) if group.self_conjugate(layout[r])]
+        return Orbits(f, np.array(reps), np.array([at[r] for r in rep]), flip, real)
+
+    def expand(self, states: np.ndarray) -> np.ndarray:
+        """Full-layout states from representative states (last axis)."""
+        full = states[..., self.gather]
+        full[..., self.flip] = full[..., self.flip].conj()
+        return full
+
+    def fits(self, y: np.ndarray) -> bool:
+        """Whether every permutation leaves the full state ``y`` unchanged."""
+        part = y[self.reps]
+        return np.array_equal(self.expand(part), y) and not part[self.real].imag.any()
 
 
 def lower(eqs: EquationSet, external=()) -> RHSProgram:
@@ -213,7 +282,8 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
             "equation set is not closed; missing equations for: "
             + ", ".join(sorted(missing))
         )
-    return RHSProgram(layout, tuple(sorted(param_names)), external, tuple(terms))
+    return RHSProgram(layout, tuple(sorted(param_names)), external, tuple(terms),
+                      eqs.symmetry)
 
 
 def state_mapping(layout, y) -> dict:

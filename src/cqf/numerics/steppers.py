@@ -244,13 +244,21 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     the states themselves are never kept.  Non-finite states, a step too
     small to advance t, and step-budget exhaustion raise with the last good
     time attached.
+    Without ``observe``, a bound program with identical subsystems started
+    from a state that every permutation of them leaves unchanged steps only
+    the orbit representatives (:meth:`~cqf.numerics.lowering.BoundRHS.orbits`),
+    which can move the samples at rounding level; any other ``f`` is not.
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
         layout = getattr(getattr(f, "program", None), "layout", None)
+    y = np.array(u0, dtype=np.complex128)
+    orbits = f.orbits() if observe is None and hasattr(f, "orbits") else None
+    if orbits is not None and orbits.fits(y):
+        part = integrate(orbits.f, y[orbits.reps], tspan, cfg, saveat)
+        return Trajectory(part.times, orbits.expand(part.states), layout)
     t0, t1 = sample_times(tspan).tolist()
     tab = _TABLEAUX[cfg.method]
-    y = np.array(u0, dtype=np.complex128)
     recorder = _Recorder(saveat, t0, t1, y, observe)
     stages = np.empty((len(tab.c), y.size), dtype=np.complex128)
     stages[0] = f(t0, y)

@@ -3,10 +3,13 @@
 For N identical emitters coupled alike, permuting the emitters maps one
 moment equation onto another (P. Kirton and J. Keeling, Phys. Rev. Lett.
 118, 123602 (2017); N. Shammah et al., Phys. Rev. A 98, 063815 (2018)).
-Derivation uses this only to skip repeated work: it derives one
-representative per orbit and relabels that equation for the other members.
-The relabelled equation equals the directly derived one term for term; the
-equation set does not change.
+Derivation uses this to skip repeated work: it derives one representative
+per orbit and relabels that equation for the other members.  The relabelled
+equation equals the directly derived one term for term; the equation set
+does not change.  Integration uses it too: from an initial state that every
+permutation leaves unchanged, the members stay copies of their
+representative, so only the representatives are stepped (see
+:meth:`~cqf.numerics.lowering.BoundRHS.orbits`).
 
 :meth:`Symmetry.of` finds the group.  Factors of the same kind, levels and
 ground are candidates.  Each adjacent transposition among them that maps
@@ -48,6 +51,7 @@ class Symmetry:
     def __init__(self, blocks: tuple = (), names: dict | None = None):
         self.blocks = blocks
         self.names = names or {}
+        self._representatives: dict = {}
 
     @staticmethod
     def of(model, order, filt) -> "Symmetry":
@@ -110,7 +114,14 @@ class Symmetry:
         one family, so both orientations are sorted and the smaller family
         wins.  A symbol whose factors carry other names than the model's is
         its own representative: its equation is derived, never relabelled.
+        Results are kept on the instance, for integration to look up.
         """
+        found = self._representatives.get(sym)
+        if found is None:
+            found = self._representatives[sym] = self._representative(sym)
+        return found
+
+    def _representative(self, sym: AverageSymbol) -> tuple[dict, AverageSymbol]:
         if not self.blocks or any(self.names.get(op.subspace) != op.name
                                   for op in sym.ops + (sym.b_ops or ())):
             return {}, sym
@@ -122,6 +133,13 @@ class Symmetry:
             del perms[1]
         return min(((perm, self.move(sym, perm)) for perm in perms),
                    key=lambda candidate: candidate[1].family)
+
+    def self_conjugate(self, sym: AverageSymbol) -> bool:
+        """Whether some permutation takes ``sym`` to its conjugate (or
+        ``sym`` is self-adjoint), so that a state every permutation leaves
+        unchanged holds a real value there."""
+        adjoint = self._compress(adjoint_sequence(sym.ops))
+        return self.move(sym, self._compress(sym.ops)) == self.move(sym, adjoint).conj()
 
     def _compress(self, *parts) -> dict:
         """The permutation that sends each block's touched members, sorted

@@ -305,6 +305,10 @@ MALFORMED_LINES = [
     ("initial <a'*a> = 1e999", "7:18: number '1e999' is beyond float range"),
     ('observable T = temperature(a, 1e999)',
      "7:31: number '1e999' is beyond float range"),
+    ('param x = 1e-1000000', "7:11: number '1e-1000000' is below float range"),
+    ('param x = 2*1e-400', "7:13: number '1e-400' is below float range"),
+    ('tspan 0 1e-400', "7:9: number '1e-400' is below float range"),
+    ("initial <a'*a> = 1e-400", "7:18: number '1e-400' is below float range"),
 ]
 
 
@@ -894,6 +898,19 @@ def test_pretty_print_names_an_undeclared_projector():
     printed = pretty_print(named)
     assert "hamiltonian 1 - see + a'*a\n" in printed
     assert parse_model(printed).model == named.model
+
+
+def test_coefficients_beyond_float_range_are_named(laser_file, capsys):
+    """Exact coefficients may exceed float range; binding names the
+    equation and the coefficient instead of letting an OverflowError out."""
+    with open(laser_file, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(laser_file, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("+ g*(", "+ 1e300*1e300*g*("))
+    assert main(["solve", laser_file]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: in the equation of ⟨a'*a⟩: coefficient "
+                   "0-1e+600i is beyond float range\n")
 
 
 def test_cli_reports_dsl_errors(tmp_path, capsys):

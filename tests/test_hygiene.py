@@ -1,8 +1,9 @@
 """Source hygiene: no module under src/cqf imports a name it never uses, or
 anything beyond the standard library and numpy, or catches every
-exception; only the algebra builds expressions from raw accumulation maps,
-and every function the benchmark's tracer hooks still exists and keeps the
-call shape the tracer relies on.
+exception, or has a function that changes module-level state; only the
+algebra builds expressions from raw accumulation maps, and every function
+the benchmark's tracer hooks still exists and keeps the call shape the
+tracer relies on.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -147,6 +148,74 @@ def test_no_catch_all_handlers():
                 if lines:
                     found[os.path.relpath(path, ROOT)] = lines
     assert not found, f"catch-all exception handlers: {found}"
+
+
+_MUTATORS = ("append", "update", "setdefault")
+
+
+def _module_state_changes(path):
+    """Lines of functions that use ``global``, or change a name bound at
+    module level in place: ``NAME[...] = ...``, or a call of its
+    ``append``, ``update`` or ``setdefault``.  A name the function binds
+    itself, or takes as a parameter, is its own."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    module = {name.id for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for target in getattr(node, "targets", [getattr(node, "target", None)])
+              for name in ast.walk(target) if isinstance(name, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        own = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+               + [args.vararg, args.kwarg] if arg is not None}
+        own |= {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        shared = module - own
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                base = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                base = node.func.value
+            else:
+                if isinstance(node, ast.Global):
+                    found.add(node.lineno)
+                continue
+            if isinstance(base, ast.Name) and base.id in shared:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_function_changes_module_state():
+    """State belongs to the object that callers create and pass; a
+    module-level table a function fills is shared by every caller in the
+    process."""
+    found = {}
+    for folder, _, files in os.walk(ROOT):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                lines = _module_state_changes(path)
+                if lines:
+                    found[os.path.relpath(path, ROOT)] = lines
+    assert not found, f"functions that change module-level state: {found}"
+
+
+def test_module_state_scan_sees_global_items_and_mutators(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "CACHE = {}\nSEEN: list = []\nCACHE['ok'] = 1\n"
+        "def f(x):\n    global COUNT\n    CACHE[x] = 1\n"
+        "    SEEN.append(x)\n    CACHE.update({})\n"
+        "    return CACHE.setdefault(x, 0)\n"
+        "def g(CACHE):\n    CACHE[0] = 1\n"
+        "def h():\n    SEEN = []\n    SEEN.append(1)\n    return CACHE.get(0)\n"
+        "k = lambda: SEEN.append(2)\n",
+        encoding="utf-8")
+    assert _module_state_changes(path) == [5, 6, 7, 8, 9, 16]
 
 
 def test_normal_form_stays_in_the_algebra():

@@ -5,7 +5,10 @@ rendered names, the one ``derive_equation`` gives directly.  Symmetric
 models call ``qle_rhs`` once per orbit, counted against a brute-force
 enumeration of the permutations; a model whose symmetry is broken derives
 every equation itself.  The representatives one call derives are seen by no
-other call and no other thread.
+other call and no other thread.  Integration from a state that every
+permutation leaves unchanged steps only the representatives, and agrees with
+stepping every entry; from any other state, and wherever the reduction does
+not apply, it steps every entry.
 """
 
 import itertools
@@ -13,17 +16,20 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import cqf.correlation
 import cqf.meanfield
 from cqf import (FILTER_PHASE, FilterFunction, ModelDefinition, OrderSpec,
-                 QExpr, ScalarExpr, average, average_symbol,
+                 QExpr, ScalarExpr, StepperConfig, average, average_symbol,
                  build_correlation_system, complete, destroy,
-                 expand_scalar, fock, meanfield_derive, nlevel, parameters,
-                 product, qle_rhs, transition)
+                 expand_scalar, fock, initial_state, integrate, lower,
+                 meanfield_derive, nlevel, parameters, product, qle_rhs,
+                 transition)
 from cqf.algebra import FundamentalOp, append_frozen, correlation_symbol
-from cqf.cli import parse_model, serialize
+from cqf.cli import deserialize, parse_model, serialize
+from cqf.numerics.lowering import BoundRHS
 from cqf.meanfield import derive_equation
 from conftest import make_laser, make_tavis
 
@@ -266,3 +272,153 @@ def test_representatives_stay_in_their_call_and_thread():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
+
+
+def _tavis_bound(n=5):
+    t = make_tavis(n)
+    closed = complete(meanfield_derive([t.s(2, 2, k) for k in range(n)],
+                                       t.model, 2, FILTER_PHASE))
+    return t, closed, lower(closed).bind(t.params)
+
+
+def _inverted(t, layout):
+    return initial_state(layout, {average_symbol(t.s(2, 2, k).monomial_ops()): 1.0
+                                  for k in range(t.n_atoms)})
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """The state size of every call of a bound program."""
+    sizes = []
+    call = BoundRHS.__call__
+
+    def counted(self, t, y):
+        sizes.append(y.size)
+        return call(self, t, y)
+
+    monkeypatch.setattr(BoundRHS, "__call__", counted)
+    return sizes
+
+
+TIMES = np.linspace(0.0, 4.0, 81)
+STEPPERS = {"rk4": StepperConfig.rk4(0.01), "rk45": StepperConfig.rk45()}
+
+
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+def test_representatives_integrate_like_every_entry(method):
+    """Tavis N=5 from full inversion: stepping the 4 representatives agrees
+    with stepping all 21 entries to 1e-12 of the largest value."""
+    t, closed, f = _tavis_bound()
+    u0 = _inverted(t, f.program.layout)
+    cfg = STEPPERS[method]
+    reduced = integrate(f, u0, (0.0, 4.0), cfg, saveat=TIMES)
+    full = integrate(lambda tau, y: f(tau, y), u0, (0.0, 4.0), cfg, saveat=TIMES)
+    assert f.orbits().f.size == 4 and len(closed) == 21
+    assert reduced.layout == f.program.layout
+    assert np.array_equal(reduced.times, full.times)
+    scale = np.max(np.abs(full.states))
+    assert scale > 1.0     # the pulse has built up
+    assert np.max(np.abs(reduced.states - full.states)) <= 1e-12 * scale
+
+
+def test_members_stored_conjugated_read_their_representative_conjugated():
+    """Atom 1's <a σ21_1> is a conjugated seed, the other atoms' <a' σ12_k>
+    are completed as families, so those entries hold the conjugate of their
+    representative's; a complex invariant start integrates like every entry."""
+    t = make_tavis(4)
+    seeds = [t.a * t.s(2, 1, 0)] + [t.s(2, 2, k) for k in range(4)]
+    f = lower(complete(meanfield_derive(seeds, t.model, 2, FILTER_PHASE))).bind(t.params)
+    orbits = f.orbits()
+    assert orbits.flip.size and orbits.f.size == 4
+
+    def sym(*factors):
+        ops = ()
+        for factor in factors:
+            ops += factor.monomial_ops()
+        return average_symbol(ops)
+
+    values = {sym(t.ad, t.a): 1.0}
+    for i in range(4):
+        values[sym(t.ad, t.s(1, 2, i))] = 0.1 + 0.2j
+        values[sym(t.s(2, 2, i))] = 0.5
+        for j in range(i + 1, 4):
+            values[sym(t.s(1, 2, i), t.s(2, 1, j))] = 0.05
+    u0 = initial_state(f.program.layout, values)
+    assert orbits.fits(u0)
+    cfg = StepperConfig.rk4(0.01)
+    reduced = integrate(f, u0, (0.0, 2.0), cfg, saveat=TIMES[:41])
+    full = integrate(lambda tau, y: f(tau, y), u0, (0.0, 2.0), cfg, saveat=TIMES[:41])
+    scale = np.max(np.abs(full.states))
+    assert np.max(np.abs(reduced.states - full.states)) <= 1e-12 * scale
+
+
+def test_an_invariant_start_never_calls_the_full_kernel(kernel_sizes):
+    t, _, f = _tavis_bound()
+    integrate(f, _inverted(t, f.program.layout), (0.0, 1.0),
+              StepperConfig.rk4(0.01))
+    assert kernel_sizes and set(kernel_sizes) == {4}
+
+
+def test_an_asymmetric_start_steps_every_entry(kernel_sizes):
+    """Only atom 1 excited: the trajectory is exactly the full path's."""
+    t, _, f = _tavis_bound()
+    u0 = initial_state(f.program.layout,
+                       {average_symbol(t.s(2, 2, 0).monomial_ops()): 1.0})
+    traj = integrate(f, u0, (0.0, 2.0), StepperConfig.rk4(0.01), saveat=TIMES[:41])
+    full = integrate(lambda tau, y: f(tau, y), u0, (0.0, 2.0),
+                     StepperConfig.rk4(0.01), saveat=TIMES[:41])
+    assert np.array_equal(traj.states, full.states)
+    assert set(kernel_sizes) == {21}
+
+
+def test_a_pair_coherence_must_be_real_to_reduce(kernel_sizes):
+    """Every atom-pair coherence <σ12_i σ21_j> (i < j) at one complex value
+    matches the orbit map entry by entry, but swapping i and j conjugates
+    it: the state is not invariant, and the representatives alone would
+    evolve it wrongly."""
+    t, _, f = _tavis_bound()
+    orbits = f.orbits()
+    reps = orbits.f.program.layout
+    pair, = (n for n in orbits.real if not reps[n].self_adjoint)
+    part = np.zeros(len(reps), dtype=complex)
+    part[[n for n, lhs in enumerate(reps) if lhs.self_adjoint and len(lhs.ops) == 1]] = 0.5
+    part[pair] = 0.1 + 0.2j
+    u0 = orbits.expand(part)
+    assert np.array_equal(u0[orbits.reps], part) and not orbits.fits(u0)
+    span, cfg = (0.0, 2.0), StepperConfig.rk4(0.01)
+    traj = integrate(f, u0, span, cfg, saveat=TIMES[:41])
+    full = integrate(lambda tau, y: f(tau, y), u0, span, cfg, saveat=TIMES[:41])
+    assert np.array_equal(traj.states, full.states)
+    assert set(kernel_sizes) == {21}
+    wrong = orbits.expand(integrate(orbits.f, part, span, cfg, saveat=TIMES[:41]).states)
+    assert np.max(np.abs(wrong - full.states)) > 1e-3
+
+
+def _with_observe():
+    t, _, f = _tavis_bound()
+    u0 = _inverted(t, f.program.layout)
+    return f, u0, dict(observe=np.eye(len(u0))[:2])
+
+
+def _archived():
+    t, closed, _ = _tavis_bound()
+    f = lower(deserialize(serialize(closed))).bind(t.params)
+    return f, _inverted(t, f.program.layout), {}
+
+
+def _trivial_group():
+    laser = make_laser()
+    closed = complete(meanfield_derive([laser.ad * laser.a], laser.model, 2,
+                                       FILTER_PHASE))
+    f = lower(closed).bind(laser.params)
+    return f, initial_state(f.program.layout), {}
+
+
+@pytest.mark.parametrize("case", [_with_observe, _archived, _trivial_group],
+                         ids=["observe", "archived", "trivial-group"])
+def test_where_the_reduction_does_not_apply_every_entry_is_stepped(case, kernel_sizes):
+    f, u0, kwargs = case()
+    assert kwargs or f.orbits() is None
+    traj = integrate(f, u0, (0.0, 1.0), StepperConfig.rk4(0.01), **kwargs)
+    assert set(kernel_sizes) == {len(u0)}
+    assert len(traj) == 101
