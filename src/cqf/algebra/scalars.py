@@ -402,7 +402,11 @@ def term_value(coeff: ComplexRational, pfac, afac, params: dict,
         v = complex(params[p.name])
         if conjd:
             v = v.conjugate()
-        val *= v**n
+        try:
+            val *= v**n
+        except OverflowError:
+            raise EvaluationError(f"parameter {p.name!r} to the power {n} is "
+                                  "beyond float range") from None
     for s, n in afac:
         fam = s.family
         if fam not in averages:

@@ -23,7 +23,6 @@ from .algebra.averages import AverageSymbol
 from .cumulant import FILTER_PHASE, FilterFunction, expansion_memo
 from .errors import AlgebraError, CapacityError
 from .meanfield import EquationSet, MeanfieldEquation, by_orbit, derive_equation
-from .symmetry import Symmetry
 
 DEFAULT_EQUATION_CAP = 100_000
 
@@ -88,19 +87,18 @@ def complete(eqs: EquationSet, max_equations: int = DEFAULT_EQUATION_CAP,
     """Close an equation set by deriving every missing average, breadth-first,
     at the set's own order and filter; for another order or filter, complete
     a fresh ``meanfield_derive``.  Identical subsystems are derived once per
-    orbit (:func:`~cqf.meanfield.by_orbit`), under the set's own group if
-    it has one; the closed set keeps that group.
+    orbit (:func:`~cqf.meanfield.by_orbit`) of the set's own group, the
+    one ``meanfield_derive`` found; the closed set keeps it.
     """
     if eqs.archived:
         raise AlgebraError(
             "this equation set was loaded from an archive and carries no "
             "model; completion needs the original model file"
         )
-    group = eqs.symmetry or Symmetry.of(eqs.model, eqs.order, eqs.filter)
     derive = by_orbit(
         lambda family: derive_equation(family.ops, eqs.model, eqs.order, eqs.filter),
-        group)
+        eqs.symmetry)
     equations = close(eqs.equations, derive, _needs_equation(eqs.filter),
                       max_equations, progress)
     return EquationSet(tuple(equations), eqs.model, eqs.order, eqs.filter,
-                       symmetry=group)
+                       symmetry=eqs.symmetry)

@@ -21,8 +21,9 @@ frequency and take S(w) = 2 Re x_0 (the primary variable).  Away from
 steady state the single-time averages are co-evolved in the delay instead,
 and the delay equations are integrated by a Runge-Kutta stepper.  Either
 way the delay program and the equal-time y(0) are lowered and expanded
-once; later calls only evaluate them.  The Wiener-Khinchin route transforms a sampled C(tau) by the trapezoid rule, as a chirp-z
-transform when the tau and w grids are uniform.
+once; later calls only evaluate them.  The Wiener-Khinchin route
+transforms a sampled C(tau) by the trapezoid rule, as a chirp-z transform
+when the tau and w grids are uniform.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .meanfield import (EquationSet, MeanfieldEquation, average, by_orbit,
 from .numerics.lowering import RHSProgram, lower, state_mapping
 from .numerics.steppers import (StepperConfig, Trajectory, _uniform_step,
                                 integrate, propagate, sample_times)
-from .symmetry import Symmetry
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def build_correlation_system(A: QExpr, B: QExpr, eqs: EquationSet,
                                "no equation in the underlying set")
         return MeanfieldEquation(sym, eq.lhs.orient(eq.rhs))
 
-    derive = by_orbit(derive_family, eqs.symmetry
-                      or Symmetry.of(eqs.model, eqs.order, eqs.filter))
+    derive = by_orbit(derive_family, eqs.symmetry)
     a_ops, b_ops = A.monomial_ops(), B.monomial_ops()
     equations = close([derive(correlation_symbol(a_ops, b_ops))], derive,
                       lambda fam: fam.is_correlation or not steady)

@@ -137,7 +137,8 @@ class EquationSet:
     Sets loaded from an archive carry only a space-pinning stub model and
     are flagged ``archived``: they can be lowered and integrated but not
     re-derived.  A derived set keeps the :class:`~cqf.symmetry.Symmetry`
-    it was derived under, for lowering to pass on; an archived one has none.
+    that ``meanfield_derive`` found, for completion, correlation systems and
+    ``lower`` to reuse; any other set has the trivial group.
     """
 
     equations: tuple[MeanfieldEquation, ...]
@@ -145,7 +146,7 @@ class EquationSet:
     order: OrderSpec
     filter: object = None
     archived: bool = False
-    symmetry: Symmetry | None = field(default=None, compare=False, repr=False)
+    symmetry: Symmetry = field(default_factory=Symmetry, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.equations)
@@ -192,7 +193,8 @@ def by_orbit(derive, group: Symmetry):
         if not perm and not moved.conjugated:
             return eq
         back = {image: k for k, image in perm.items()}
-        return MeanfieldEquation(sym, group.relabel(eq.rhs, back, moved.conjugated))
+        members = {s: group.move(s, back) for s in eq.rhs.averages()} if back else {}
+        return MeanfieldEquation(sym, group.relabel(eq.rhs, members, moved.conjugated))
 
     return derive_occurrence
 

@@ -17,6 +17,7 @@ every term's state reads, multiplies them into the coefficients and sums
 each equation's terms, with one kernel for every system size.  The
 Jacobian reuses the same reads, so the Newton steady state and the
 steady-state linearization of correlation systems read the same table.
+Identical subsystems are also lowered to one equation per orbit (:class:`Orbits`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..algebra.averages import AverageSymbol, family_values
 from ..algebra.render import render_average
 from ..algebra.scalars import term_value
 from ..errors import ClosureError, EvaluationError
-from ..meanfield import EquationSet
+from ..meanfield import EquationSet, MeanfieldEquation
 
 _ONE = np.ones(1, dtype=np.complex128)
 _ONE.flags.writeable = False
@@ -46,11 +47,13 @@ class LoweredTerm:
 
 @dataclass(frozen=True)
 class RHSProgram:
+    """A term table over ``layout``, and the program over one entry per
+    orbit of a set's identical subsystems (``orbits``); both bind at once."""
     layout: tuple[AverageSymbol, ...]
     parameters: tuple[str, ...]
     external: tuple[AverageSymbol, ...]
     terms: tuple[LoweredTerm, ...]
-    symmetry: object = field(default=None, compare=False, repr=False)
+    orbits: Orbits | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -99,7 +102,8 @@ class RHSProgram:
     def bind(self, params: dict | None = None,
              constants: dict | None = None) -> "BoundRHS":
         """Fold parameters and external constants into a callable derivative."""
-        return BoundRHS(self, self.coefficients(params, constants))
+        orbits = self.orbits and self.orbits.bind(params, constants)
+        return BoundRHS(self, self.coefficients(params, constants), orbits)
 
 
 class BoundRHS:
@@ -114,15 +118,14 @@ class BoundRHS:
     sums each equation's contiguous segment of terms; an equation without
     terms gets one zero term, so every segment is non-empty.  Each call
     allocates its own buffers, so one bound program may be shared across
-    threads.  A program lowered from a set with identical subsystems also
-    has a derivative over one entry per orbit, :meth:`orbits`.
+    threads.  A program lowered from a set with identical subsystems is
+    bound with its orbit program, :meth:`orbits`.
     """
 
-    def __init__(self, program: RHSProgram, coeffs: np.ndarray):
+    def __init__(self, program: RHSProgram, coeffs: np.ndarray, orbits: Orbits | None):
         self.program = program
         self.size = n = program.size
-        self._folded = coeffs
-        self._orbits = None
+        self._orbits = orbits
         segments = [[] for _ in range(n)]
         for term, coeff in zip(program.terms, coeffs):
             reads = [idx + n * conjd for idx, conjd, power in term.state_factors
@@ -149,12 +152,10 @@ class BoundRHS:
         return np.add.reduceat(vals, self._starts)
 
     def orbits(self) -> "Orbits | None":
-        """The derivative over one entry per orbit of the program's
-        :class:`~cqf.symmetry.Symmetry`, built on first use; None where
+        """The derivative over one entry per orbit of the set's
+        :class:`~cqf.symmetry.Symmetry`, bound with this one; None where
         the group is trivial or a representative is not an entry."""
-        if self._orbits is None:
-            self._orbits = Orbits.of(self.program, self._folded) or False
-        return self._orbits or None
+        return self._orbits
 
     def jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.size
@@ -185,45 +186,18 @@ class BoundRHS:
 
 
 class Orbits:
-    """A bound derivative ``f`` over the orbit representatives of a layout,
-    whose entry k is ``f``'s entry ``gather[k]``, conjugated where ``flip``
-    lists k.  A representative's equation reads each average as its
-    representative's occurrence, equal reads merged: exact where :meth:`fits`.
+    """A program ``f`` over the orbit representatives of a layout, bound by
+    :meth:`bind`, whose entry k is ``f``'s entry ``gather[k]``, conjugated
+    where ``flip`` lists k; an invariant state holds ``real`` entries real.
+    ``f`` reads each average as its representative: exact where :meth:`fits`.
     """
 
     def __init__(self, f, reps, gather, flip, real):
-        self.f, self.reps, self.gather = f, reps, gather
-        self.flip, self.real = np.flatnonzero(flip), real
+        self.f, self.reps, self.gather, self.flip, self.real = f, reps, gather, flip, real
 
-    @staticmethod
-    def of(program: RHSProgram, coeffs) -> "Orbits | None":
-        group, layout = program.symmetry, program.layout
-        if group is None or not group.blocks:
-            return None
-        index = {lhs.family: k for k, lhs in enumerate(layout)}
-        moved = [group.representative(lhs)[1] for lhs in layout]
-        if not moved or any(m.family not in index for m in moved):
-            return None
-        rep = [index[m.family] for m in moved]
-        flip = [m.conjugated != layout[r].conjugated for m, r in zip(moved, rep)]
-        reps = sorted(set(rep))
-        at = {r: n for n, r in enumerate(reps)}
-        merged: dict = {}
-        for term, c in zip(program.terms, coeffs):
-            if term.equation in at:
-                reads = tuple(sorted((at[rep[k]], conj != flip[k], 1) for k, conj, power
-                                     in term.state_factors for _ in range(power)))
-                key = (at[term.equation], term.param_factors, reads, term.external_factors)
-                old = merged.get(key)
-                merged[key] = ((term.coeff, c) if old is None
-                               else (old[0] + term.coeff, old[1] + c))
-        terms = tuple(LoweredTerm(eq, coeff, pfac, sfac, efac) for
-                      (eq, pfac, sfac, efac), (coeff, _) in merged.items())
-        reduced = RHSProgram(tuple(layout[r] for r in reps), program.parameters,
-                             program.external, terms)
-        f = BoundRHS(reduced, [value for _, value in merged.values()])
-        real = [n for n, r in enumerate(reps) if group.self_conjugate(layout[r])]
-        return Orbits(f, np.array(reps), np.array([at[r] for r in rep]), flip, real)
+    def bind(self, params, constants) -> "Orbits":
+        return Orbits(self.f.bind(params, constants), self.reps, self.gather,
+                      self.flip, self.real)
 
     def expand(self, states: np.ndarray) -> np.ndarray:
         """Full-layout states from representative states (last axis)."""
@@ -248,42 +222,50 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
     index = {lhs.family: k for k, lhs in enumerate(layout)}
     external = tuple(s.family for s in external)
     external_set = set(external)
-
-    missing: set[str] = set()
-    terms: list[LoweredTerm] = []
-    param_names: set[str] = set()
+    missing, terms, param_names = set(), [], set()
     for eq_no, eq in enumerate(eqs.equations):
         # rhs was derived for the stored lhs orientation already, so the
         # equation is used as-is; only factor reads resolve orientations
         for coeff, pfac, afac in eq.rhs.terms:
-            state_factors = []
-            external_factors = []
-            ok = True
+            state_factors, external_factors = [], []
             for sym, power in afac:
-                fam = sym.family
-                k = index.get(fam)
+                k = index.get(sym.family)
                 if k is not None:
-                    state_factors.append(
-                        (k, sym.conjugated != layout[k].conjugated, power))
-                elif fam in external_set:
+                    state_factors.append((k, sym.conjugated != layout[k].conjugated, power))
+                elif sym.family in external_set:
                     external_factors.append((sym, power))
                 else:
-                    missing.add(render_average(fam))
-                    ok = False
-            if not ok:
-                continue
+                    missing.add(render_average(sym.family))
             for p, _, _ in pfac:
                 param_names.add(p.name)
-            terms.append(LoweredTerm(eq_no, coeff, pfac,
-                                     tuple(state_factors),
+            terms.append(LoweredTerm(eq_no, coeff, pfac, tuple(state_factors),
                                      tuple(external_factors)))
     if missing:
-        raise ClosureError(
-            "equation set is not closed; missing equations for: "
-            + ", ".join(sorted(missing))
-        )
+        raise ClosureError("equation set is not closed; missing equations for: "
+                           + ", ".join(sorted(missing)))
     return RHSProgram(layout, tuple(sorted(param_names)), external, tuple(terms),
-                      eqs.symmetry)
+                      _orbits(eqs, index, external))
+
+
+def _orbits(eqs: EquationSet, index: dict, external) -> Orbits | None:
+    """The representatives' equations, each average read as its
+    representative's occurrence, lowered; None where the set's group is
+    trivial or some representative has no equation."""
+    group, layout = eqs.symmetry, [eq.lhs for eq in eqs.equations]
+    moved = [group.representative(lhs)[1] for lhs in layout] if group.blocks else []
+    if not moved or any(m.family not in index for m in moved):
+        return None
+    rep = [index[m.family] for m in moved]
+    reps = sorted(set(rep))
+    rhs = [eqs.equations[r].rhs for r in reps]
+    to_rep = {s: group.representative(s)[1] for x in rhs for s in x.averages()}
+    reduced = [MeanfieldEquation(layout[r], group.relabel(x, to_rep, False))
+               for r, x in zip(reps, rhs)]
+    flip = [m.conjugated != layout[r].conjugated for m, r in zip(moved, rep)]
+    real = [group.self_conjugate(layout[r]) for r in reps]
+    program = lower(EquationSet(tuple(reduced), eqs.model, eqs.order, eqs.filter), external)
+    return Orbits(program, np.array(reps), np.searchsorted(reps, rep),
+                  np.flatnonzero(flip), np.flatnonzero(real))
 
 
 def state_mapping(layout, y) -> dict:

@@ -232,6 +232,15 @@ class _Recorder:
                           self.rows[:self.cursor], layout)
 
 
+def _start(f, u0) -> np.ndarray:
+    """``u0`` as a complex vector, refused if a bound program has another size."""
+    y = np.array(u0, dtype=np.complex128)
+    if hasattr(f, "size") and y.shape != (f.size,):
+        raise AlgebraError(f"the initial state has {y.size} entries, "
+                           f"but the program has {f.size}")
+    return y
+
+
 def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
               saveat=None, layout=None, observe=None) -> Trajectory:
     """Integrate dy/dt = f(t, y) over tspan.
@@ -246,13 +255,14 @@ def integrate(f, u0, tspan, cfg: StepperConfig | None = None,
     time attached.
     Without ``observe``, a bound program with identical subsystems started
     from a state that every permutation of them leaves unchanged steps only
-    the orbit representatives (:meth:`~cqf.numerics.lowering.BoundRHS.orbits`),
-    which can move the samples at rounding level; any other ``f`` is not.
+    their representatives, by the orbit program ``lower`` built beside it
+    (``f.orbits()``), which can move the samples at rounding level; any
+    other ``f`` is not.  A bound program refuses a start of another size.
     """
     cfg = cfg or StepperConfig.rk45()
     if layout is None:
         layout = getattr(getattr(f, "program", None), "layout", None)
-    y = np.array(u0, dtype=np.complex128)
+    y = _start(f, u0)
     orbits = f.orbits() if observe is None and hasattr(f, "orbits") else None
     if orbits is not None and orbits.fits(y):
         part = integrate(orbits.f, y[orbits.reps], tspan, cfg, saveat)
@@ -360,11 +370,10 @@ class _RealSystem:
                          [du.imag[keep], dv.imag[np.ix_(keep, keep)]]]) + 0j
 
 
-def _newton_steady_state(f, u0, tol):
+def _newton_steady_state(f, y, tol):
     """Pseudo-transient continuation x <- x + (I/delta - J)^-1 F(x) with a
     growing pseudo-time step delta; once the residual is below tolerance,
     plain Newton steps polish the root for as long as they halve it."""
-    y = np.array(u0, dtype=np.complex128)
     if not y.size:
         return y
     system = _RealSystem(f, y.size)
@@ -424,11 +433,11 @@ def steady_state(f, u0, tol: float = 1e-8, t_max: float = 1e5):
     raises.  Without one, f is integrated by the default rk45 over windows
     that start at 20 time units and grow 1.5x each up to ``t_max``.  Either
     search failing raises :class:`NonStationaryError` with the final
-    residual attached.
+    residual attached.  A bound program refuses a start of another size.
     """
+    y = _start(f, u0)
     if hasattr(f, "jacobian"):
-        return _newton_steady_state(f, u0, tol)
-    y = np.array(u0, dtype=np.complex128)
+        return _newton_steady_state(f, y, tol)
     t = 0.0
     w = 20.0
     residual = float("inf")

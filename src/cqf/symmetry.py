@@ -6,10 +6,11 @@ moment equation onto another (P. Kirton and J. Keeling, Phys. Rev. Lett.
 Derivation uses this to skip repeated work: it derives one representative
 per orbit and relabels that equation for the other members.  The relabelled
 equation equals the directly derived one term for term; the equation set
-does not change.  Integration uses it too: from an initial state that every
-permutation leaves unchanged, the members stay copies of their
-representative, so only the representatives are stepped (see
-:meth:`~cqf.numerics.lowering.BoundRHS.orbits`).
+does not change.  Lowering uses it too: ``lower`` also lowers the
+representatives' equations, each average read as its representative's
+occurrence, and ``bind`` binds that program beside the full one.  From a
+state that every permutation leaves unchanged, ``integrate`` steps only the
+representatives (see :class:`~cqf.numerics.lowering.Orbits`).
 
 :meth:`Symmetry.of` finds the group.  Factors of the same kind, levels and
 ground are candidates.  Each adjacent transposition among them that maps
@@ -114,7 +115,7 @@ class Symmetry:
         one family, so both orientations are sorted and the smaller family
         wins.  A symbol whose factors carry other names than the model's is
         its own representative: its equation is derived, never relabelled.
-        Results are kept on the instance, for integration to look up.
+        Results are kept on the instance, for derivation and lowering to reuse.
         """
         found = self._representatives.get(sym)
         if found is None:
@@ -169,15 +170,19 @@ class Symmetry:
             return AverageSymbol(moved.ops, not moved.conjugated)
         return moved
 
-    def relabel(self, rhs: ScalarExpr, perm: dict, conjugate: bool) -> ScalarExpr:
-        """``rhs`` with every average moved by ``perm``, conjugated if asked."""
-        if perm:
-            moved = {sym: self.move(sym, perm) for sym in rhs.averages()}
-            rhs = ScalarExpr.from_terms(
-                (coeff, params,
-                 tuple(sorted(((moved[s], n) for s, n in avgs),
-                              key=lambda entry: entry[0].sort_key)))
-                for coeff, params, avgs in rhs.terms)
+    @staticmethod
+    def relabel(rhs: ScalarExpr, moved: dict, conjugate: bool) -> ScalarExpr:
+        """``rhs`` with every average read as ``moved[average]`` (all kept
+        if ``moved`` is empty), equal reads merged; conjugated if asked."""
+        if moved:
+            terms = []
+            for coeff, params, avgs in rhs.terms:
+                powers: dict = {}
+                for s, n in avgs:
+                    powers[moved[s]] = powers.get(moved[s], 0) + n
+                reads = sorted(powers.items(), key=lambda read: read[0].sort_key)
+                terms.append((coeff, params, tuple(reads)))
+            rhs = ScalarExpr.from_terms(terms)
         return rhs.conj() if conjugate else rhs
 
 

@@ -901,8 +901,9 @@ def test_pretty_print_names_an_undeclared_projector():
 
 
 def test_coefficients_beyond_float_range_are_named(laser_file, capsys):
-    """Exact coefficients may exceed float range; binding names the
-    equation and the coefficient instead of letting an OverflowError out."""
+    """Exact coefficients, and powers of parameters, may exceed float range;
+    binding names the equation and the coefficient or the parameter and its
+    power instead of letting an OverflowError out."""
     with open(laser_file, encoding="utf-8") as fh:
         text = fh.read()
     with open(laser_file, "w", encoding="utf-8") as fh:
@@ -911,6 +912,12 @@ def test_coefficients_beyond_float_range_are_named(laser_file, capsys):
     err = capsys.readouterr().err
     assert err == ("error: in the equation of ⟨a'*a⟩: coefficient "
                    "0-1e+600i is beyond float range\n")
+    with open(laser_file, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("+ g*(", "+ g*g*("))
+    assert main(["solve", laser_file, "--set", "g=1e200"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: in the equation of ⟨a'*a⟩: parameter 'g' to the "
+                   "power 2 is beyond float range\n")
 
 
 def test_cli_reports_dsl_errors(tmp_path, capsys):

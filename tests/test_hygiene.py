@@ -1,9 +1,9 @@
 """Source hygiene: no module under src/cqf imports a name it never uses, or
 anything beyond the standard library and numpy, or catches every
 exception, or has a function that changes module-level state; only the
-algebra builds expressions from raw accumulation maps, and every function
-the benchmark's tracer hooks still exists and keeps the call shape the
-tracer relies on.
+algebra builds expressions from raw accumulation maps, only lowering builds
+term tables, and every function the benchmark's tracer hooks still exists
+and keeps the call shape the tracer relies on.
 
 Package ``__init__.py`` files are skipped, since their imports are the
 re-exports.  A name counts as used wherever it is read, including as the
@@ -233,6 +233,60 @@ def test_normal_form_stays_in_the_algebra():
                     if "_from_dict" in fh.read():
                         found.append(rel)
     assert not found, f"modules that reference _from_dict: {found}"
+
+
+_LOWERED = ("LoweredTerm", "RHSProgram")
+
+
+def _lowered_constructions(path):
+    """(line, enclosing function or None) of every call of ``LoweredTerm``
+    or ``RHSProgram``, by name or as an attribute."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) in _LOWERED):
+                found.append((child.lineno, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return sorted(found, key=lambda entry: entry[0])
+
+
+def test_term_tables_are_built_only_by_lower():
+    """``lower`` is the one way to a term table: terms or a program built
+    anywhere else would be a second lowering to keep in step with it."""
+    owner = os.path.join("numerics", "lowering.py")
+    found = {}
+    for folder, _, files in os.walk(ROOT):
+        for name in sorted(files):
+            path = os.path.join(folder, name)
+            rel = os.path.relpath(path, ROOT)
+            if name.endswith(".py"):
+                lines = [line for line, func in _lowered_constructions(path)
+                         if (rel, func) != (owner, "lower")]
+                if lines:
+                    found[rel] = lines
+    assert not found, f"term tables built outside lower: {found}"
+
+
+def test_term_table_scan_sees_names_attributes_and_functions(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from cqf.numerics import lowering\n"
+        "from cqf.numerics.lowering import LoweredTerm, RHSProgram\n"
+        "t = LoweredTerm(0, 1, (), (), ())\n"
+        "def of(p):\n"
+        "    return lowering.RHSProgram((), (), (), (t,))\n"
+        "class Orbits:\n"
+        "    def lower(self):\n"
+        "        return [RHSProgram.size, lowering.lower(self), RHSProgram()]\n",
+        encoding="utf-8")
+    assert _lowered_constructions(path) == [(3, None), (5, "of"), (8, "lower")]
 
 
 def test_catch_all_scan_sees_bare_and_tuple_handlers(tmp_path):

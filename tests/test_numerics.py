@@ -14,9 +14,11 @@ from cqf import (FILTER_PHASE, ModelDefinition, StepperConfig, average_symbol,
                  parameters, product, qmul, state_mapping, steady_state)
 from cqf.cli import parse_model
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
+from cqf.numerics import steppers
+from cqf.numerics.lowering import BoundRHS
 from cqf.numerics.steppers import (_TABLEAUX, _RealSystem, _hermite, expm,
                                    propagate, sample_times)
-from conftest import make_tavis
+from conftest import make_laser, make_tavis
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -386,6 +388,44 @@ def test_non_finite_tspan_is_an_error(tspan, bad, saveat):
         integrate(lambda t, y: -y, np.array([1.0 + 0j]), tspan, saveat=saveat)
     with pytest.raises(AlgebraError, match=f"tspan end {bad} is not finite"):
         sample_times(tspan, saveat)
+
+
+def _bound_tavis3():
+    t = make_tavis(3)
+    closed = complete(meanfield_derive([t.s(2, 2, k) for k in range(3)],
+                                       t.model, 2, FILTER_PHASE))
+    return lower(closed).bind(t.params)
+
+
+def _bound_laser():
+    laser = make_laser()
+    closed = complete(meanfield_derive([laser.ad * laser.a], laser.model, 2,
+                                       FILTER_PHASE))
+    return lower(closed).bind(laser.params)
+
+
+@pytest.mark.parametrize("solver", ["integrate", "steady_state"])
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("bound", [_bound_tavis3, _bound_laser],
+                         ids=["symmetric", "trivial"])
+def test_a_start_of_another_size_is_refused(bound, offset, solver, monkeypatch):
+    """A bound program refuses a start one entry short or long by naming both
+    sizes, before it looks for orbits or starts a Newton search."""
+    f = bound()
+    assert (f.orbits() is not None) == (bound is _bound_tavis3)
+
+    def forbidden(*args):
+        raise AssertionError("the start was used before its size was checked")
+
+    monkeypatch.setattr(BoundRHS, "orbits", forbidden)
+    monkeypatch.setattr(steppers, "_newton_steady_state", forbidden)
+    u0 = np.zeros(f.size + offset, dtype=complex)
+    match = f"initial state has {f.size + offset} entries, but the program has {f.size}"
+    with pytest.raises(AlgebraError, match=match):
+        if solver == "integrate":
+            integrate(f, u0, (0.0, 1.0), StepperConfig.rk4(0.01))
+        else:
+            steady_state(f, u0)
 
 
 def test_nan_guard():

@@ -21,8 +21,9 @@ import pytest
 
 import cqf.correlation
 import cqf.meanfield
-from cqf import (FILTER_PHASE, FilterFunction, ModelDefinition, OrderSpec,
-                 QExpr, ScalarExpr, StepperConfig, average, average_symbol,
+from cqf import (FILTER_PHASE, ComplexRational, EquationSet, FilterFunction,
+                 ModelDefinition, OrderSpec, QExpr, ScalarExpr, StepperConfig,
+                 average, average_symbol,
                  build_correlation_system, complete, destroy,
                  expand_scalar, fock, initial_state, integrate, lower,
                  meanfield_derive, nlevel, parameters, product, qle_rhs,
@@ -30,7 +31,8 @@ from cqf import (FILTER_PHASE, FilterFunction, ModelDefinition, OrderSpec,
 from cqf.algebra import FundamentalOp, append_frozen, correlation_symbol
 from cqf.cli import deserialize, parse_model, serialize
 from cqf.numerics.lowering import BoundRHS
-from cqf.meanfield import derive_equation
+from cqf.meanfield import MeanfieldEquation, derive_equation
+from cqf.symmetry import Symmetry
 from conftest import make_laser, make_tavis
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -272,6 +274,53 @@ def test_representatives_stay_in_their_call_and_thread():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
+
+
+def test_the_group_is_found_once_per_derivation(monkeypatch):
+    """``complete`` and ``build_correlation_system`` read the group that
+    ``meanfield_derive`` found instead of finding it again; a set built by
+    hand has the trivial group and finds none."""
+    calls = []
+    find = Symmetry.of
+
+    def counted(*args):
+        calls.append(args)
+        return find(*args)
+
+    monkeypatch.setattr(Symmetry, "of", staticmethod(counted))
+    t = make_tavis(4)
+    closed = complete(meanfield_derive([t.s(2, 2, k) for k in range(4)],
+                                       t.model, 2, FILTER_PHASE))
+    build_correlation_system(t.ad, t.a, closed)
+    assert len(calls) == 1 and closed.symmetry.blocks == ((1, 2, 3, 4),)
+    by_hand = EquationSet(closed.equations, closed.model, closed.order, closed.filter)
+    assert complete(by_hand).equations == closed.equations
+    assert len(calls) == 1 and not by_hand.symmetry.blocks
+
+
+def test_the_orbit_program_lowers_the_representatives():
+    """Tavis N=20: the orbit program is the lowering of the representatives'
+    equations with every average replaced by its representative's
+    occurrence; 4 equations and 18 terms in place of 231 and 1551, whose
+    exact coefficients carry the multiplicities N and N - 1."""
+    t = make_tavis(20)
+    closed = complete(meanfield_derive([t.s(2, 2, k) for k in range(20)],
+                                       t.model, 2, FILTER_PHASE))
+    prog = lower(closed)
+    reduced = prog.orbits.f
+    assert (prog.size, len(prog.terms)) == (231, 1551)
+    assert (reduced.size, len(reduced.terms)) == (4, 18)
+    assert all(type(term.coeff) is ComplexRational for term in reduced.terms)
+    assert {ComplexRational(0, 19), ComplexRational(0, -20)} \
+        <= {term.coeff for term in reduced.terms}
+    group = closed.symmetry
+    mapped = tuple(
+        MeanfieldEquation(eq.lhs, eq.rhs.substitute(
+            {s: ScalarExpr.from_average(group.representative(s)[1])
+             for s in eq.rhs.averages()}))
+        for eq in closed if group.representative(eq.lhs)[1].family == eq.lhs.family)
+    assert lower(EquationSet(mapped, closed.model, closed.order,
+                             closed.filter)) == reduced
 
 
 def _tavis_bound(n=5):
