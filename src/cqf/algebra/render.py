@@ -143,7 +143,8 @@ def latex_scalar(x: ScalarExpr) -> str:
     for coeff, params, avgs in x.terms:
         factors = []
         for p, conjd, n in params:
-            base = f"{p.name}^*" if conjd else p.name
+            # a conjugate's star is a superscript: braced under a power
+            base = (f"{p.name}^*" if n == 1 else f"{{{p.name}^*}}") if conjd else p.name
             factors.append(base if n == 1 else f"{base}^{{{n}}}")
         for s, n in avgs:
             base = latex_average(s)

@@ -29,7 +29,7 @@ import numpy as np
 from ..algebra.qexpr import QExpr
 from ..algebra.render import render_average
 from ..algebra.scalars import ScalarExpr
-from ..completion import complete, filter_by_name, missing_averages
+from ..completion import complete, filter_by_name
 from ..correlation import (build_correlation_system, correlation_trajectory,
                            decay_time, linearize_steady, spectrum_fourier,
                            spectrum_laplace)
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("correlate", "spectrum"):
             cmd.add_argument("--tau-max", type=float,
                              help="correlation window length")
-            cmd.add_argument("--tau-points", type=int, default=2001)
+            cmd.add_argument("--tau-points", type=int)
             cmd.add_argument("--no-steady", action="store_true",
                              help="co-evolve single-time averages instead of "
                                   "assuming steady state")
@@ -216,8 +216,6 @@ def _closed_equations(parsed: ParsedModel, opts: RunOptions, archive=None,
 def _program(parsed: ParsedModel, opts: RunOptions, archive=None):
     """The closed equations, their lowering, the bound program and u0."""
     closed = _closed_equations(parsed, opts, archive)
-    if missing_averages(closed):
-        raise CqfError("equation set is not closed")
     prog = lower(closed)
     bound = prog.bind(opts.param_values)
     return closed, prog, bound, initial_state(prog.layout, opts.initial)
@@ -297,15 +295,21 @@ def _correlation(parsed: ParsedModel, opts: RunOptions, args, oracle,
     the resolved tolerances runs the delay.  The oracle starts from its own
     steady state, or co-evolved from its initial state evolved over tspan.
     """
-    if args.tau_points < 2:
+    if args.tau_points is not None and args.tau_points < 2:
         raise CqfError(f"--tau-points expects an integer of at least 2, "
                        f"got '{args.tau_points}'")
     if args.tau_max is not None and not 0 < args.tau_max < math.inf:
         raise CqfError(f"--tau-max expects a finite positive number, "
                        f"got '{args.tau_max:g}'")
+    steady = not args.no_steady
+    if omegas is not None and steady and not oracle:
+        for name in ("tau_points", "tau_max"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise CqfError(f"{flag} does not apply to a steady-state spectrum, "
+                               "which has no delay grid: pass --no-steady or --oracle")
     if opts.correlation is None:
         raise CqfError("model file needs a 'correlation A, B' line")
-    steady = not args.no_steady
     delay_cfg = StepperConfig.rk45(**_tolerances(opts))
     if not steady:
         if opts.tspan is None:
@@ -328,7 +332,7 @@ def _correlation(parsed: ParsedModel, opts: RunOptions, args, oracle,
     else:
         tau_max = (args.tau_max if args.tau_max is not None
                    else decay_time(linearize_steady(cs, state_map, params)))
-        grid = np.linspace(0.0, tau_max, args.tau_points)
+        grid = np.linspace(0.0, tau_max, args.tau_points or 2001)
         traj = correlation_trajectory(cs, state_map, (0.0, tau_max),
                                       None if steady else delay_cfg, params,
                                       saveat=grid)
@@ -374,7 +378,7 @@ def cmd_spectrum(parsed: ParsedModel, opts: RunOptions, args, oracle):
     columns = [omegas, spectrum]
     if oracle_corr:
         taus = np.linspace(0.0, 60.0 if args.tau_max is None else args.tau_max,
-                           max(args.tau_points, 4001))
+                           args.tau_points or 4001)
         s_me = spectrum_fourier(taus, oracle_corr(taus), omegas).values
         header.append("ME:S")
         columns.append(s_me)

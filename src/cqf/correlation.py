@@ -91,17 +91,17 @@ class CorrelationSystem:
     def program(self) -> RHSProgram:
         """The delay equations as a term table, steady averages as externals.
 
-        Steady, every term must be constant or carry one unconjugated
-        correlation variable to the first power; anything else indicates a
-        broken frozen-factor invariant.
+        Steady, every term must be constant or read one correlation
+        variable, unconjugated, once: a table of one read row and no
+        conjugated reads.  Anything else indicates a broken frozen-factor
+        invariant.
         """
         eqs = EquationSet(self.equations, self.base.model, self.base.order,
                           self.base.filter)
         prog = lower(eqs, external=self.constants)
-        if self.steady and any(
-                sum(power for _, _, power in term.state_factors) > 1
-                or any(conjd for _, conjd, _ in term.state_factors)
-                for term in prog.terms):
+        n = prog.size
+        if self.steady and (len(prog.reads) > 1
+                            or any(n <= r < 2 * n for r in prog.reads[0])):
             raise ConsistencyError("right-hand side is nonlinear in "
                                    "correlation variables")
         return prog

@@ -7,28 +7,29 @@ representative's entry, so conjugate averages never occupy state of their
 own.  Parameters bind at call time, not lowering time: one lowering serves
 a whole parameter sweep.
 
-Each right-hand side flattens into a term table (coefficient, parameter
-monomial, state reads, external constant reads), the only numeric form of a
-right-hand side.  :meth:`RHSProgram.coefficients` folds the exact
-coefficient, the parameter monomial and the external constants to one
-complex number per term (folds are shared between identical coefficient
-patterns).  Binding turns the folded table into a derivative that gathers
-every term's state reads, multiplies them into the coefficients and sums
-each equation's terms, with one kernel for every system size.  The
-Jacobian reuses the same reads, so the Newton steady state and the
+``lower`` flattens every right-hand side into one term table, the only
+numeric form of a right-hand side: each term is a fold (exact coefficient,
+parameter monomial and external constants, shared by every term of the
+same pattern) times its state reads.  Binding evaluates each fold once;
+the derivative gathers every term's reads, multiplies them into the
+coefficients and sums each equation's terms, with one kernel for every
+system size.  The table's index arrays are built once per program and
+shared by every bind and the Jacobian, so the Newton steady state and the
 steady-state linearization of correlation systems read the same table.
-Identical subsystems are also lowered to one equation per orbit (:class:`Orbits`).
+Identical subsystems are also lowered to one equation per orbit
+(:class:`Orbits`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..algebra.averages import AverageSymbol, family_values
 from ..algebra.render import render_average
-from ..algebra.scalars import term_value
+from ..algebra.scalars import CR_ZERO, term_value
 from ..errors import ClosureError, EvaluationError
 from ..meanfield import EquationSet, MeanfieldEquation
 
@@ -37,27 +38,42 @@ _ONE.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class LoweredTerm:
-    equation: int
-    coeff: object                      # ComplexRational
-    param_factors: tuple               # ((Parameter, conjugated, power), ...)
-    state_factors: tuple               # ((state index, conjugated, power), ...)
-    external_factors: tuple            # ((average symbol, power), ...)
-
-
-@dataclass(frozen=True)
 class RHSProgram:
     """A term table over ``layout``, and the program over one entry per
-    orbit of a set's identical subsystems (``orbits``); both bind at once."""
+    orbit of a set's identical subsystems (``orbits``); both bind at once.
+
+    Term k, in equation order, adds ``folds[terms[k]]`` (a distinct
+    (exact coefficient, parameter factors, external factors) triple) times
+    ``z[reads[r][k]]`` over every row r to equation ``equation[k]``, where
+    ``z = [y, conj(y), 1]``: a conjugated read of entry i is ``i + n``, a
+    power p is p reads, and rows a term does not fill read the trailing 1.
+    An equation without terms gets one zero term.
+    """
     layout: tuple[AverageSymbol, ...]
     parameters: tuple[str, ...]
     external: tuple[AverageSymbol, ...]
-    terms: tuple[LoweredTerm, ...]
+    folds: tuple[tuple, ...]
+    terms: tuple[int, ...]
+    equation: tuple[int, ...]
+    reads: tuple[tuple[int, ...], ...]
     orbits: Orbits | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.layout)
+
+    @cached_property
+    def _index(self) -> tuple:
+        """The table as arrays, shared by every bind: each term's fold, the
+        read rows, each equation's first term, and the flat (equation,
+        column) Jacobian cell of every read kept (padding dropped)."""
+        n = self.size
+        rows = tuple(np.array(row, dtype=np.intp) for row in self.reads)
+        equation = np.array(self.equation, dtype=np.intp)
+        cells = np.concatenate([equation * 2 * n + row for row in rows])
+        keep = np.concatenate(rows) < 2 * n
+        return (np.array(self.terms, dtype=np.intp), rows,
+                np.searchsorted(equation, np.arange(n)), cells[keep], keep)
 
     def index_of(self, sym: AverageSymbol) -> int:
         fam = sym.family
@@ -68,8 +84,9 @@ class RHSProgram:
 
     def coefficients(self, params: dict | None = None,
                      constants: dict | None = None) -> np.ndarray:
-        """Fold each term's coefficient, parameters and external constants
-        to one complex number, in term order."""
+        """Each term's coefficient in term order: every fold's exact
+        coefficient, parameters and external constants as one complex
+        number, evaluated once."""
         params = dict(params or {})
         missing = [p for p in self.parameters if p not in params]
         if missing:
@@ -83,21 +100,14 @@ class RHSProgram:
                 "unbound steady/frozen averages: "
                 + ", ".join(render_average(s) for s in missing_c)
             )
-        coeffs = np.empty(len(self.terms), dtype=np.complex128)
-        fold_cache: dict = {}
-        for k, term in enumerate(self.terms):
-            key = (term.coeff, term.param_factors, term.external_factors)
-            val = fold_cache.get(key)
-            if val is None:
-                try:
-                    val = fold_cache[key] = term_value(
-                        term.coeff, term.param_factors, term.external_factors,
-                        params, constants)
-                except EvaluationError as err:
-                    lhs = render_average(self.layout[term.equation])
-                    raise EvaluationError(f"in the equation of {lhs}: {err}") from None
-            coeffs[k] = val
-        return coeffs
+        values = np.empty(len(self.folds), dtype=np.complex128)
+        for k, (coeff, pfac, efac) in enumerate(self.folds):
+            try:
+                values[k] = term_value(coeff, pfac, efac, params, constants)
+            except EvaluationError as err:
+                lhs = render_average(self.layout[self.equation[self.terms.index(k)]])
+                raise EvaluationError(f"in the equation of {lhs}: {err}") from None
+        return values[self._index[0]]
 
     def bind(self, params: dict | None = None,
              constants: dict | None = None) -> "BoundRHS":
@@ -110,39 +120,20 @@ class BoundRHS:
     """A derivative function with parameters folded in.
 
     Callable as ``f(t, y) -> ydot``; the state and result are complex
-    vectors of the program's size.  Every term reads its state factors from
-    ``z = [y, conj(y), 1]``: a conjugated read of entry ``k`` reads
-    ``z[k + n]``, a power ``p`` is ``p`` reads, and every term is padded
-    with reads of the trailing 1 to the largest degree (at least one read).
-    A call multiplies the coefficients by one row of reads per degree and
-    sums each equation's contiguous segment of terms; an equation without
-    terms gets one zero term, so every segment is non-empty.  Each call
-    allocates its own buffers, so one bound program may be shared across
-    threads.  A program lowered from a set with identical subsystems is
-    bound with its orbit program, :meth:`orbits`.
+    vectors of the program's size.  A call multiplies the coefficients by
+    the program's read rows and sums each equation's terms; the index
+    arrays are the program's, so a bind holds only its coefficients.  Each
+    call allocates its own buffers, so one bound program may be shared
+    across threads.  A program lowered from a set with identical
+    subsystems is bound with its orbit program, :meth:`orbits`.
     """
 
     def __init__(self, program: RHSProgram, coeffs: np.ndarray, orbits: Orbits | None):
         self.program = program
-        self.size = n = program.size
+        self.size = program.size
+        self._coeffs = coeffs
+        _, self._rows, self._starts, self._cells, self._keep = program._index
         self._orbits = orbits
-        segments = [[] for _ in range(n)]
-        for term, coeff in zip(program.terms, coeffs):
-            reads = [idx + n * conjd for idx, conjd, power in term.state_factors
-                     for _ in range(power)]
-            segments[term.equation].append((coeff, reads))
-        terms = [term for segment in segments for term in segment or [(0j, [])]]
-        degree = max([1, *(len(reads) for _, reads in terms)])
-        self._coeffs = np.array([coeff for coeff, _ in terms], dtype=np.complex128)
-        self._rows = tuple(
-            np.array([reads[r] if r < len(reads) else 2 * n for _, reads in terms],
-                     dtype=np.intp)
-            for r in range(degree))
-        sizes = np.array([max(1, len(segment)) for segment in segments],
-                         dtype=np.intp)
-        self._starts = np.cumsum(sizes) - sizes
-        self._sizes = sizes
-        self._scatter = None
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         z = np.concatenate((y, y.conjugate(), _ONE))
@@ -158,16 +149,7 @@ class BoundRHS:
         return self._orbits
 
     def jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.size
-        if self._scatter is None:
-            # flat (equation, column) cell of every read, padding reads
-            # dropped; built on first use, so that binding never pays for it
-            # (concurrent first calls build equal tables)
-            equation = np.repeat(np.arange(n), self._sizes)
-            cells = np.concatenate([equation * 2 * n + row for row in self._rows])
-            keep = np.concatenate(self._rows) < 2 * n
-            self._scatter = (cells[keep], keep)
-        cells, keep = self._scatter
+        n, cells = self.size, self._cells
         z = np.concatenate((y, y.conjugate(), _ONE))
         reads = [z[row] for row in self._rows]
         # product of every read but the j-th: prefix times suffix products
@@ -179,7 +161,7 @@ class BoundRHS:
         for j in range(len(reads) - 1, -1, -1):
             parts[j] = before[j] * after
             after = after * reads[j]
-        vals = np.concatenate(parts)[keep]
+        vals = np.concatenate(parts)[self._keep]
         jac = (np.bincount(cells, vals.real, 2 * n * n)
                + 1j * np.bincount(cells, vals.imag, 2 * n * n)).reshape(n, 2 * n)
         return jac[:, :n], jac[:, n:]
@@ -219,31 +201,39 @@ def lower(eqs: EquationSet, external=()) -> RHSProgram:
     a right-hand side is a closure error.
     """
     layout = tuple(eq.lhs for eq in eqs.equations)
+    n = len(layout)
     index = {lhs.family: k for k, lhs in enumerate(layout)}
     external = tuple(s.family for s in external)
     external_set = set(external)
-    missing, terms, param_names = set(), [], set()
+    missing, param_names, folds = set(), set(), {}
+    terms, equation, reads = [], [], []
     for eq_no, eq in enumerate(eqs.equations):
         # rhs was derived for the stored lhs orientation already, so the
         # equation is used as-is; only factor reads resolve orientations
-        for coeff, pfac, afac in eq.rhs.terms:
-            state_factors, external_factors = [], []
+        for coeff, pfac, afac in eq.rhs.terms or ((CR_ZERO, (), ()),):
+            state_reads, external_factors = [], []
             for sym, power in afac:
                 k = index.get(sym.family)
                 if k is not None:
-                    state_factors.append((k, sym.conjugated != layout[k].conjugated, power))
+                    conjd = sym.conjugated != layout[k].conjugated
+                    state_reads += [k + n * conjd] * power
                 elif sym.family in external_set:
                     external_factors.append((sym, power))
                 else:
                     missing.add(render_average(sym.family))
             for p, _, _ in pfac:
                 param_names.add(p.name)
-            terms.append(LoweredTerm(eq_no, coeff, pfac, tuple(state_factors),
-                                     tuple(external_factors)))
+            terms.append(folds.setdefault((coeff, pfac, tuple(external_factors)),
+                                          len(folds)))
+            equation.append(eq_no)
+            reads.append(state_reads)
     if missing:
         raise ClosureError("equation set is not closed; missing equations for: "
                            + ", ".join(sorted(missing)))
-    return RHSProgram(layout, tuple(sorted(param_names)), external, tuple(terms),
+    rows = tuple(tuple(r[d] if d < len(r) else 2 * n for r in reads)
+                 for d in range(max([1, *map(len, reads)])))
+    return RHSProgram(layout, tuple(sorted(param_names)), external, tuple(folds),
+                      tuple(terms), tuple(equation), rows,
                       _orbits(eqs, index, external))
 
 

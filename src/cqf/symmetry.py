@@ -115,12 +115,14 @@ class Symmetry:
         one family, so both orientations are sorted and the smaller family
         wins.  A symbol whose factors carry other names than the model's is
         its own representative: its equation is derived, never relabelled.
-        Results are kept on the instance, for derivation and lowering to reuse.
+        Results are kept on the instance by family, for derivation and
+        lowering to reuse; a conjugated occurrence conjugates the image.
         """
-        found = self._representatives.get(sym)
+        family = sym.family
+        found = self._representatives.get(family)
         if found is None:
-            found = self._representatives[sym] = self._representative(sym)
-        return found
+            found = self._representatives[family] = self._representative(family)
+        return (found[0], found[1].conj()) if sym.conjugated else found
 
     def _representative(self, sym: AverageSymbol) -> tuple[dict, AverageSymbol]:
         if not self.blocks or any(self.names.get(op.subspace) != op.name

@@ -9,6 +9,7 @@ import pytest
 
 from cqf import (FilterFunction, StepperConfig, Trajectory, average_symbol,
                  complete, meanfield_derive, qmul)
+from cqf.algebra.render import render_average
 from cqf.cli import (deserialize, load, parse_model, pretty_print, save,
                      serialize)
 from cqf.cli.dsl import MAX_NESTING, ObservableDef
@@ -634,6 +635,25 @@ def test_solve_loads_an_archive_without_deriving(laser_file, capsys,
     assert f"loaded 3 equations from {archive}" in capsys.readouterr().out
 
 
+def test_a_truncated_archive_names_the_missing_averages(laser_file, capsys):
+    """An archive with an equation removed is not closed: the error names
+    the average that lost its equation."""
+    assert main(["derive", laser_file]) == 0
+    with open(laser_file + ".eqs.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    dropped = load(laser_file + ".eqs.json").equations[0].lhs
+    del doc["equations"][0]
+    truncated = laser_file + ".truncated.json"
+    with open(truncated, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["solve", laser_file, "--archive", truncated,
+                 "--out", laser_file + ".csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: equation set is not closed; missing equations for: "
+        f"{render_average(dropped.family)}\n")
+
+
 def test_correlate_csv(laser_file):
     out = laser_file + ".corr.csv"
     assert main(["correlate", laser_file, "--out", out,
@@ -746,8 +766,9 @@ def test_steady_correlation_integrates_at_the_resolved_tolerances(
     spy("steady_state")
     spy("integrate")
     spy("correlation_trajectory")
-    assert main([command, laser_file, "--atol", "1e-12", "--tau-max", "5",
-                 "--tau-points", "11", *flags,
+    # a steady spectrum has no delay grid, and refuses the flags that set one
+    window = [] if command == "spectrum" else ["--tau-max", "5", "--tau-points", "11"]
+    assert main([command, laser_file, "--atol", "1e-12", *window, *flags,
                  "--out", laser_file + ".out"]) == 0
     assert set(calls) == stepped
     if "steady_state" in calls:
@@ -978,10 +999,13 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("correlate", ["--tau-max", "nan"]),
     ("spectrum", ["--omega", "0.1:inf:5"]),
     ("spectrum", ["--omega", "nan:1:5"]),
+    ("spectrum", ["--tau-points", "5"]),
+    ("spectrum", ["--tau-max", "3"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):
-    """Every flag is checked before any equation is derived."""
+    """Every flag is checked before any equation is derived, and a flag
+    that cannot act is refused by name."""
     def derive(*args):
         raise AssertionError("derivation ran before the flags were checked")
 
@@ -991,10 +1015,32 @@ def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
     if flags == ["--no-steady"]:
         assert err == "error: co-evolved correlations need --tau-max\n"
         return
+    if command == "spectrum" and flags[0].startswith("--tau"):
+        assert err == (f"error: {flags[0]} does not apply to a steady-state "
+                       "spectrum, which has no delay grid: pass --no-steady or "
+                       "--oracle\n")
+        return
     assert err.startswith(f"error: {flags[-2]} expects ")
     assert repr(flags[-1]) in err
     if "=3" in flags[-1]:
         assert f"no Fock space {flags[-1].split('=')[0]!r}" in err
+
+
+@pytest.mark.parametrize("flags, points", [([], 4001), (["--tau-points", "300"], 300)])
+def test_the_oracle_spectrum_samples_tau_points_as_given(laser_file, monkeypatch,
+                                                         flags, points):
+    """``spectrum --oracle`` transforms the master-equation C(tau) on
+    ``--tau-points`` points, and on 4001 without the flag."""
+    grids = []
+
+    def correlation(*args):
+        grids.append(args[-2])
+        return np.zeros(len(args[-2]), dtype=complex)
+
+    monkeypatch.setattr(main_mod, "me_correlation", correlation)
+    assert main(["spectrum", laser_file, "--oracle", *flags,
+                 "--out", laser_file + ".spec.csv"]) == 0
+    assert [len(taus) for taus in grids] == [points]
 
 
 def test_cli_requires_parameter_values(laser_file, tmp_path, capsys):

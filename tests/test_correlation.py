@@ -340,6 +340,27 @@ def test_driven_system_refuses_omega_zero(laser, laser_steady):
     assert len(ok.values) == 2
 
 
+def _lossless_mode():
+    """dy/dtau = i y: a mode that rotates at omega = 1 and never decays."""
+    from cqf.correlation import LinearSystem
+
+    return LinearSystem(np.array([[1j]]), np.zeros(1, dtype=complex),
+                        np.ones(1, dtype=complex))
+
+
+def test_a_singular_resolvent_is_skipped():
+    """At the frequency of an undamped mode (i w - M) is singular: that
+    point is NaN and reported, and the others are solved."""
+    result = spectrum_laplace(_lossless_mode(), np.array([0.5, 1.0, 2.0]))
+    assert result.skipped == [1.0]
+    assert np.isnan(result.values[1])
+    assert result.values[[0, 2]].tolist() == [0.0, 0.0]
+
+
+def test_without_a_decaying_mode_the_delay_window_is_the_cap():
+    assert decay_time(_lossless_mode()) == 2000.0
+
+
 def _assert_one_term_table(cs, state, params):
     """The delay derivative and the linearization agree on random states."""
     ls = linearize_steady(cs, state, params)
@@ -365,17 +386,19 @@ def _assert_one_term_table(cs, state, params):
 
 
 def _scattered(cs, state, params):
-    """M and d summed term by term from the folded term table."""
+    """M and d summed term by term from the folded term table: a term that
+    reads a variable adds to M, one that reads only the trailing 1 to d."""
     prog = cs.program
     state_map = state_mapping(tuple(eq.lhs for eq in cs.base.equations), state)
     n = prog.size
     M = np.zeros((n, n), dtype=np.complex128)
     d = np.zeros(n, dtype=np.complex128)
-    for term, c in zip(prog.terms, prog.coefficients(params, state_map)):
-        if term.state_factors:
-            M[term.equation, term.state_factors[0][0]] += c
+    (reads,) = prog.reads
+    for eq, read, c in zip(prog.equation, reads, prog.coefficients(params, state_map)):
+        if read < n:
+            M[eq, read] += c
         else:
-            d[term.equation] += c
+            d[eq] += c
     y0 = initial_values(cs, state_map)
     dyn = [k for k, lhs in enumerate(prog.layout) if lhs.ops]
     const = [k for k, lhs in enumerate(prog.layout) if not lhs.ops]

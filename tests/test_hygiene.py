@@ -235,12 +235,12 @@ def test_normal_form_stays_in_the_algebra():
     assert not found, f"modules that reference _from_dict: {found}"
 
 
-_LOWERED = ("LoweredTerm", "RHSProgram")
+_LOWERED = ("RHSProgram",)
 
 
 def _lowered_constructions(path):
-    """(line, enclosing function or None) of every call of ``LoweredTerm``
-    or ``RHSProgram``, by name or as an attribute."""
+    """(line, enclosing function or None) of every call of ``RHSProgram``,
+    by name or as an attribute."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     found = []
@@ -278,10 +278,10 @@ def test_term_table_scan_sees_names_attributes_and_functions(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(
         "from cqf.numerics import lowering\n"
-        "from cqf.numerics.lowering import LoweredTerm, RHSProgram\n"
-        "t = LoweredTerm(0, 1, (), (), ())\n"
+        "from cqf.numerics.lowering import RHSProgram\n"
+        "t = RHSProgram((), (), (), (), (), (), ((),))\n"
         "def of(p):\n"
-        "    return lowering.RHSProgram((), (), (), (t,))\n"
+        "    return lowering.RHSProgram((), (), (), (), (), (), ((),))\n"
         "class Orbits:\n"
         "    def lower(self):\n"
         "        return [RHSProgram.size, lowering.lower(self), RHSProgram()]\n",

@@ -14,7 +14,7 @@ from cqf import (FILTER_PHASE, ModelDefinition, StepperConfig, average_symbol,
                  parameters, product, qmul, state_mapping, steady_state)
 from cqf.cli import parse_model
 from cqf.errors import AlgebraError, ClosureError, EvaluationError, IntegrationError, NonStationaryError
-from cqf.numerics import steppers
+from cqf.numerics import lowering, steppers
 from cqf.numerics.lowering import BoundRHS
 from cqf.numerics.steppers import (_TABLEAUX, _RealSystem, _hermite, expm,
                                    propagate, sample_times)
@@ -195,6 +195,22 @@ def test_jacobian_matches_central_differences(laser, build):
             assert np.max(np.abs(d_im - 1j * (dy[:, m] - dconj[:, m]))) < 1e-7 * scale
 
 
+def test_binds_of_one_program_share_its_index_arrays(laser, monkeypatch):
+    """``lower`` builds the term table once: every bind reads the program's
+    index arrays, the Jacobian's too, and evaluates each fold once."""
+    closed, params = _tavis5(laser)
+    prog = lower(closed)
+    calls = []
+    term_value = lowering.term_value
+    monkeypatch.setattr(lowering, "term_value",
+                        lambda *args: calls.append(args) or term_value(*args))
+    f, g = prog.bind(params), prog.bind({**params, "g": 2.0})
+    folds = len(prog.folds) + len(prog.orbits.f.folds)   # the orbit program binds too
+    assert len(calls) == 2 * folds and len(prog.folds) < len(prog.terms)
+    assert f._rows is g._rows and f._starts is g._starts and f._cells is g._cells
+    assert not np.array_equal(f._coeffs, g._coeffs)
+
+
 def _abscissa(f, y):
     system = _RealSystem(f, len(y))
     return float(np.max(np.linalg.eigvals(system.jacobian(f, y)).real))
@@ -244,6 +260,56 @@ def test_incoherent_gain_without_loss_has_no_steady_state():
     cert = info.value.certificate
     assert cert.abscissa == pytest.approx(1.0)
     assert cert.residual <= 1e-12 and cert.iterations > 0
+
+
+def test_a_singular_polish_returns_the_root_it_has():
+    """Without detuning or loss every state of a cavity is stationary and
+    the Jacobian is zero: the polishing Newton solve is singular, and the
+    start, already a root, is returned as it is."""
+    h = product(fock("c"))
+    a = destroy(h, "a")
+    delta, = parameters("Δ")
+    model = ModelDefinition.create(h, delta * (a.dag() * a))
+    prog = lower(complete(meanfield_derive([a], model, 1)))
+    y0 = np.array([0.3 + 0.4j])
+    assert np.array_equal(steady_state(prog.bind({"Δ": 0.0}), y0), y0)
+
+
+class _Relax:
+    """dy/dt = 1 - y, except that the first trial state reads NaN."""
+
+    calls = 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return np.full_like(y, np.nan) if self.calls == 2 else 1.0 - y
+
+    def jacobian(self, y):
+        return -np.eye(len(y)), np.zeros((len(y), len(y)))
+
+
+class _NoRoot:
+    """dy/dt = |y|^2 + 1, at least 1 and at least 2|y| everywhere."""
+
+    def __call__(self, t, y):
+        return y * y.conj() + 1
+
+    def jacobian(self, y):
+        return np.diag(y.conj()), np.diag(y)
+
+
+def test_a_non_finite_trial_is_retried_with_a_shorter_step():
+    f = _Relax()
+    y = steady_state(f, np.array([0j]))
+    assert abs(y[0] - 1) <= 1e-12 and f.calls > 3
+
+
+def test_a_search_without_a_root_stops_after_its_step_budget():
+    with pytest.raises(NonStationaryError,
+                       match="no steady state after 200 pseudo-transient steps") as info:
+        steady_state(_NoRoot(), np.array([0j]))
+    assert info.value.certificate.iterations == 200
+    assert info.value.certificate.residual >= 1.0
 
 
 def test_bound_program_is_shared_across_threads(laser):

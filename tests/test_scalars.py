@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqf import I_UNIT, Parameter, ScalarExpr, parameters
+from cqf.algebra import latex_scalar
 from cqf.algebra.scalars import CR_I, CR_ONE, ComplexRational
 from cqf.errors import AlgebraError, EvaluationError
 
@@ -191,3 +192,11 @@ def test_sum_equals_repeated_addition(exprs, data):
     assert ScalarExpr.sum(items) == folded
     for x in exprs:
         assert ScalarExpr.sum([x, -x]).is_zero
+
+
+def test_latex_braces_a_conjugated_parameter_under_a_power():
+    """``E^*^{2}`` is a double superscript, which LaTeX rejects; a first
+    power and an unconjugated power render unbraced."""
+    E, = parameters("E", real=False)
+    assert latex_scalar(E.conj() * E.conj()) == "{E^*}^{2}"
+    assert latex_scalar(2 * E.conj() * E * E) == "2 E^{2} E^*"

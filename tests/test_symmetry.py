@@ -310,9 +310,9 @@ def test_the_orbit_program_lowers_the_representatives():
     reduced = prog.orbits.f
     assert (prog.size, len(prog.terms)) == (231, 1551)
     assert (reduced.size, len(reduced.terms)) == (4, 18)
-    assert all(type(term.coeff) is ComplexRational for term in reduced.terms)
+    assert all(type(coeff) is ComplexRational for coeff, _, _ in reduced.folds)
     assert {ComplexRational(0, 19), ComplexRational(0, -20)} \
-        <= {term.coeff for term in reduced.terms}
+        <= {coeff for coeff, _, _ in reduced.folds}
     group = closed.symmetry
     mapped = tuple(
         MeanfieldEquation(eq.lhs, eq.rhs.substitute(
@@ -321,6 +321,24 @@ def test_the_orbit_program_lowers_the_representatives():
         for eq in closed if group.representative(eq.lhs)[1].family == eq.lhs.family)
     assert lower(EquationSet(mapped, closed.model, closed.order,
                              closed.filter)) == reduced
+
+
+def test_lowering_reads_every_representative_from_the_cache(monkeypatch):
+    """Representatives are kept by family, so ``lower`` computes none that
+    derivation did not: a conjugated occurrence takes its family's
+    permutation and the conjugate of its image, as computed directly."""
+    t = make_tavis(20)
+    closed = complete(meanfield_derive([t.s(2, 2, k) for k in range(20)],
+                                       t.model, 2, FILTER_PHASE))
+    computed = []
+    compute = Symmetry._representative
+    monkeypatch.setattr(Symmetry, "_representative",
+                        lambda group, sym: computed.append(sym) or compute(group, sym))
+    assert lower(closed).orbits is not None and computed == []
+    group = closed.symmetry
+    reads = {s for eq in closed for s in eq.rhs.averages()}
+    assert any(s.conjugated for s in reads)
+    assert all(group.representative(s) == compute(group, s) for s in reads)
 
 
 def _tavis_bound(n=5):
