@@ -6,10 +6,11 @@ one whose sequence key is smaller); the other is reachable through the
 ``conjugated`` flag.  Symbols whose product is self-adjoint are their own
 conjugate, encoding that their expectation value is real for any valid state.
 
-Correlation symbols carry an additional frozen tail ``b_ops`` (the operator
-product pinned at the earlier time).  They are never conjugate-canonicalized:
-conjugating <A(t+tau) B(t)> does not yield another delayed-time average of
-the same family.
+Correlation symbols carry an additional ``b_ops``, the operator product B
+held fixed at the earlier time of <A(t+tau) B(t)>; it is the only place B
+lives.  They are never conjugate-canonicalized: conjugating
+<A(t+tau) B(t)> does not yield another delayed-time average of the same
+family.
 
 :func:`average_symbol` names the symbol of a factor sequence and
 :attr:`AverageSymbol.factors` gives it back; :meth:`AverageSymbol.orient`
@@ -20,7 +21,7 @@ read through :func:`family_values`, takes keys in either orientation.
 from __future__ import annotations
 
 from ..errors import AlgebraError
-from .operators import (FrozenOp, FundamentalOp, adjoint_sequence, seq_key,
+from .operators import (FundamentalOp, adjoint_sequence, seq_key,
                         sequence_phase, touched_subspaces)
 
 
@@ -58,7 +59,7 @@ class AverageSymbol:
 
     @property
     def order(self) -> int:
-        """Number of fundamental factors, frozen tail included."""
+        """Number of fundamental factors, earlier-time ones included."""
         return len(self.ops) + (len(self.b_ops) if self.b_ops else 0)
 
     @property
@@ -73,11 +74,10 @@ class AverageSymbol:
         """The canonical factor sequence whose average this occurrence is.
 
         The inverse of :func:`average_symbol`: a conjugated occurrence
-        averages the adjoint of its representative's product, and a
-        correlation variable ends in its frozen earlier-time product.
+        averages the adjoint of its representative's product.  Of a
+        correlation variable, never conjugated, these are the delayed-time
+        factors; its earlier-time ones are ``b_ops``.
         """
-        if self.b_ops is not None:
-            return self.ops + (FrozenOp(self.b_ops),)
         return adjoint_sequence(self.ops) if self.conjugated else self.ops
 
     @property
@@ -118,16 +118,12 @@ class AverageSymbol:
 def average_symbol(ops: tuple) -> AverageSymbol:
     """The symbol a canonical factor sequence averages to.
 
-    A frozen last factor makes it the correlation variable of the factors
-    before it.  Otherwise the representative is whichever of the sequence
-    and its adjoint has the smaller sequence key; if the requested
-    orientation is the other one, the returned symbol carries the
-    conjugation flag.
+    The representative is whichever of the sequence and its adjoint has the
+    smaller sequence key; if the requested orientation is the other one,
+    the returned symbol carries the conjugation flag.
     """
     if not ops:
         raise AlgebraError("the identity has no average symbol; it averages to 1")
-    if ops[-1].is_frozen:
-        return correlation_symbol(ops[:-1], ops[-1].ops)
     adj = adjoint_sequence(ops)
     if seq_key(adj) < seq_key(ops):
         return AverageSymbol(adj, True)

@@ -4,10 +4,8 @@ Each operator records the subspace it acts on nontrivially; operators on
 disjoint subspaces commute, so a canonical sequence is sorted by ascending
 subspace index.  Within one bosonic subspace, creation precedes annihilation
 (normal order); a discrete subspace carries at most one transition factor.
-
-A :class:`FrozenOp` wraps a whole operator product pinned at an earlier time
-for two-time correlation work.  It is opaque to all rewrite rules, sorts
-after every regular factor, and therefore stays rightmost in any sequence.
+A two-time correlation keeps its earlier-time product apart from these
+sequences, in the ``b_ops`` of its average symbol.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ TRANSITION = "transition"
 
 # Canonical kind ranks: creation < transition < annihilation.
 _KIND_RANK = {CREATE: 0, TRANSITION: 1, DESTROY: 2}
-
-_FROZEN_SUBSPACE = 10**9
 
 
 class FundamentalOp:
@@ -64,10 +60,6 @@ class FundamentalOp:
         tag = "'" if self.kind == CREATE else ""
         return f"{self.name}{tag}@{self.subspace}"
 
-    @property
-    def is_frozen(self) -> bool:
-        return False
-
     def adjoint(self) -> "FundamentalOp":
         if self.kind == DESTROY:
             return FundamentalOp(CREATE, self.subspace, self.name)
@@ -85,45 +77,6 @@ class FundamentalOp:
         return self.i - self.j
 
 
-class FrozenOp:
-    """An operator product held fixed at the earlier time of a correlation.
-
-    Rewrite rules never commute or contract it with the delayed-time factors
-    to its left.
-    """
-
-    __slots__ = ("ops", "key", "_hash")
-
-    def __init__(self, ops: tuple[FundamentalOp, ...]):
-        self.ops = ops
-        self.key = (_FROZEN_SUBSPACE, 9, -1, -1,
-                    tuple(op.key for op in ops))
-        self._hash = hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FrozenOp) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other) -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"frozen({'*'.join(map(repr, self.ops))})"
-
-    @property
-    def subspace(self) -> int:
-        return _FROZEN_SUBSPACE
-
-    @property
-    def is_frozen(self) -> bool:
-        return True
-
-    def phase(self) -> int:
-        return sum(op.phase() for op in self.ops)
-
-
 def seq_key(ops) -> tuple:
     """Total order key for an operator sequence (used for term ordering)."""
     return (len(ops), tuple(op.key for op in ops))
@@ -135,12 +88,8 @@ def adjoint_sequence(ops) -> tuple:
     Reversing and daggering maps each normal-ordered bosonic block
     a'^m a^n to a'^n a^m, and swaps transition labels; re-sorting by
     subspace (stably) restores ascending canonical order without any
-    rewriting.  Frozen factors admit no adjoint.
+    rewriting.
     """
-    from ..errors import AlgebraError
-
-    if any(op.is_frozen for op in ops):
-        raise AlgebraError("cannot take the adjoint of a frozen-time product")
     daggered = [op.adjoint() for op in reversed(ops)]
     daggered.sort(key=lambda op: op.subspace)
     return tuple(daggered)
@@ -151,11 +100,5 @@ def sequence_phase(ops) -> int:
 
 
 def touched_subspaces(ops) -> frozenset[int]:
-    """Subspace indices an operator sequence acts on; frozen content counts."""
-    out = set()
-    for op in ops:
-        if op.is_frozen:
-            out.update(o.subspace for o in op.ops)
-        else:
-            out.add(op.subspace)
-    return frozenset(out)
+    """Subspace indices an operator sequence acts on."""
+    return frozenset(op.subspace for op in ops)

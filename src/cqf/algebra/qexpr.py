@@ -16,7 +16,7 @@ in cumulants gives wrong closures (the ordering constant would be lost).
 from __future__ import annotations
 
 from ..errors import AlgebraError, SpaceMismatchError
-from .operators import (CREATE, DESTROY, TRANSITION, FrozenOp, FundamentalOp,
+from .operators import (CREATE, DESTROY, TRANSITION, FundamentalOp,
                         adjoint_sequence, seq_key)
 from .scalars import ComplexRational, ScalarExpr, collect
 from .spaces import FOCK, NLEVEL, ProductSpace
@@ -81,21 +81,10 @@ def _normalize_nlevel_block(space_factor, block) -> list:
 def normalize_sequence(space: ProductSpace, seq) -> list:
     """Rewrite an arbitrary factor sequence into canonical monomials.
 
-    Returns ``[(ComplexRational, ops tuple)]``.  A frozen factor must be
-    last and alone.
+    Returns ``[(ComplexRational, ops tuple)]``.
     """
-    frozen = None
     blocks: dict[int, list] = {}
-    for pos, op in enumerate(seq):
-        if op.is_frozen:
-            if frozen is not None:
-                raise AlgebraError("at most one frozen factor per product")
-            if pos != len(seq) - 1:
-                raise AlgebraError(
-                    "nothing may be multiplied to the right of a frozen factor"
-                )
-            frozen = op
-            continue
+    for op in seq:
         blocks.setdefault(op.subspace, []).append(op)
 
     # Expand each subspace block into its branch list.
@@ -134,16 +123,11 @@ def normalize_sequence(space: ProductSpace, seq) -> list:
     for branches in branch_lists:
         results = [(w1 * w2, ops1 + ops2)
                    for w1, ops1 in results for w2, ops2 in branches]
-    tail = (frozen,) if frozen is not None else ()
-    return [(ComplexRational(w), ops + tail) for w, ops in results]
+    return [(ComplexRational(w), ops) for w, ops in results]
 
 
 def mul_sequences(space: ProductSpace, s1, s2) -> list:
     """Canonical product of two factor sequences."""
-    if any(op.is_frozen for op in s1) and s2:
-        raise AlgebraError(
-            "nothing may be multiplied to the right of a frozen factor"
-        )
     return normalize_sequence(space, tuple(s1) + tuple(s2))
 
 
@@ -288,16 +272,6 @@ def adjoint(x: QExpr) -> QExpr:
 
 def commutator(x: QExpr, y: QExpr) -> QExpr:
     return qmul(x, y) + qmul(y, x).scale(-1)
-
-
-def append_frozen(x: QExpr, b_ops: tuple) -> QExpr:
-    """Right-multiply by an opaque earlier-time product (no rewriting)."""
-    terms = []
-    for ops, coeff in x.terms:
-        if any(op.is_frozen for op in ops):
-            raise AlgebraError("expression already carries a frozen factor")
-        terms.append((ops + (FrozenOp(tuple(b_ops)),), coeff))
-    return QExpr(x.space, tuple(terms))
 
 
 # -- fundamental operator constructors -------------------------------------

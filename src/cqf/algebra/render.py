@@ -60,8 +60,6 @@ def render_coefficient(c: ComplexRational) -> str:
 
 
 def render_op(op) -> str:
-    if op.is_frozen:
-        return "*".join(render_op(o) for o in op.ops)
     if op.kind == CREATE:
         return op.name + "'"
     if op.kind == DESTROY:
@@ -108,8 +106,6 @@ def render_qexpr(x) -> str:
 
 
 def latex_op(op) -> str:
-    if op.is_frozen:
-        return " ".join(latex_op(o) for o in op.ops)
     if op.kind == CREATE:
         return f"{op.name}^\\dagger"
     if op.kind == DESTROY:

@@ -148,6 +148,9 @@ def _run_options(parsed: ParsedModel, args) -> RunOptions:
             opts.cutoffs[name] = int(value)
         except ValueError:
             raise CqfError(f"--cutoff expects SPACE=N, got {item!r}") from None
+        if opts.cutoffs[name] < 1:
+            raise CqfError(f"--cutoff expects SPACE=N with N >= 1, "
+                           f"got {item!r}")
         if name not in fock_names:
             raise CqfError(f"--cutoff expects SPACE=N with SPACE one of the "
                            f"model's Fock spaces ({', '.join(fock_names)}), "

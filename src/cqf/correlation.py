@@ -1,11 +1,12 @@
 """Two-time correlation functions and power spectra.
 
 The delay evolution of C(t, tau) = <A(t+tau) B(t)> follows the equation of
-motion of A alone (regression): the frozen factor B rides along as an
-opaque rightmost factor that no rewrite rule touches.  Cumulant expansion
-treats any average containing the frozen factor as an irreducible
-correlation variable, so B is never factorized away from the delayed-time
-operators; partition blocks without B become plain single-time averages.
+motion of A alone (regression): each term O of A's right-hand side
+averages to the correlation variable <O(t+tau) B(t)>, and B, held in the
+symbol's ``b_ops``, never meets a rewrite rule.  Cumulant expansion keeps
+B whole in one block, so it is never factorized away from the
+delayed-time operators; partition blocks without B become plain
+single-time averages.
 
 In steady state those single-time averages are constants, the system is
 affine,
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra.averages import AverageSymbol, correlation_symbol, family_values
-from .algebra.qexpr import QExpr, append_frozen, mul_sequences
+from .algebra.qexpr import QExpr, mul_sequences
 from .algebra.render import render_average
 from .algebra.scalars import ScalarExpr
 from .completion import close, missing_averages
@@ -93,7 +94,7 @@ class CorrelationSystem:
 
         Steady, every term must be constant or read one correlation
         variable, unconjugated, once: a table of one read row and no
-        conjugated reads.  Anything else indicates a broken frozen-factor
+        conjugated reads.  Anything else indicates a broken regression
         invariant.
         """
         eqs = EquationSet(self.equations, self.base.model, self.base.order,
@@ -131,9 +132,10 @@ def _corr_equation(sym: AverageSymbol, base: EquationSet) -> MeanfieldEquation:
         # <B(t)> does not depend on the delay.
         return MeanfieldEquation(sym, ScalarExpr.zero())
     op = QExpr(base.model.space, ((sym.ops, ScalarExpr.one()),))
-    rhs_q = append_frozen(qle_rhs(op, base.model), sym.b_ops)
-    rhs = expand_scalar(average(rhs_q), base.order, base.filter)
-    return MeanfieldEquation(sym, rhs)
+    rhs = ScalarExpr.sum(
+        coeff * ScalarExpr.from_average(correlation_symbol(ops, sym.b_ops))
+        for ops, coeff in qle_rhs(op, base.model).terms)
+    return MeanfieldEquation(sym, expand_scalar(rhs, base.order, base.filter))
 
 
 @expansion_memo()
@@ -212,9 +214,9 @@ def linearize_steady(cs: CorrelationSystem, state, params: dict) -> LinearSystem
     """The affine steady-state delay dynamics, read off the lowered term table.
 
     M and d are the Jacobian and the derivative at zero of the bound delay
-    program (see ``_steady_dynamics``).  Delay-constant variables (frozen
-    products with no delayed factor, as produced by coherent driving) are
-    folded into the drive vector rather than kept as trivial rows.
+    program (see ``_steady_dynamics``).  Delay-constant variables (<B(t)>
+    alone, as produced by coherent driving) are folded into the drive
+    vector rather than kept as trivial rows.
     """
     if not cs.steady:
         raise AlgebraError("linearization requires a steady-state system")

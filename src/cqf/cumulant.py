@@ -38,7 +38,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra.averages import AverageSymbol, average_symbol
+from .algebra.averages import AverageSymbol, average_symbol, correlation_symbol
 from .algebra.operators import TRANSITION
 from .algebra.scalars import ScalarExpr
 from .algebra.spaces import ProductSpace
@@ -171,20 +171,19 @@ def _canonical(factors, space: ProductSpace, empty_message: str) -> tuple:
     """``factors`` as a tuple, refused unless it is a canonical product.
 
     Canonical means sorted, so normal-ordered and in subspace order, with
-    at most one transition per subspace and a frozen factor only at the
-    end, and free of ground projectors of ``space``: the algebra rewrites
-    those by completeness, so no derived equation set holds their average.
+    at most one transition per subspace, and free of ground projectors of
+    ``space``: the algebra rewrites those by completeness, so no derived
+    equation set holds their average.
     """
     factors = tuple(factors)
     if not factors:
         raise AlgebraError(empty_message)
-    regular = factors[:-1] if factors[-1].is_frozen else factors
-    if (any(op.is_frozen for op in regular) or list(regular) != sorted(regular)
+    if (list(factors) != sorted(factors)
             or any(a.subspace == b.subspace and TRANSITION in (a.kind, b.kind)
-                   for a, b in zip(regular, regular[1:]))):
+                   for a, b in zip(factors, factors[1:]))):
         raise AlgebraError(f"{factors} is not a canonical product; "
                            "multiply it out with qmul first")
-    for op in regular:
+    for op in factors:
         if (op.kind == TRANSITION
                 and op.i == op.j == space.factors[op.subspace].ground_index):
             raise AlgebraError(
@@ -194,8 +193,13 @@ def _canonical(factors, space: ProductSpace, empty_message: str) -> tuple:
     return factors
 
 
-def _expansion(factors: tuple, block_value) -> ScalarExpr:
+def _expansion(factors: tuple, block_value, tail=None) -> ScalarExpr:
     """The average of ``factors`` with their joint cumulant set to zero.
+
+    ``factors`` is a canonical product.  A correlation's earlier-time
+    product ``tail`` (``()`` for an identity B) is one more run, last, that
+    no block splits: a block holding it averages to the correlation
+    variable of the block's other factors.
 
     Blocks are count vectors over the runs of equal factors.  m(u) is
     ``block_value`` of a proper block's average symbol, and the cumulants
@@ -212,14 +216,17 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
     """
     runs = [(op, len(list(group))) for op, group in itertools.groupby(factors)]
     distinct = [op for op, _ in runs]
+    counts = tuple(k for _, k in runs) + ((1,) if tail is not None else ())
     moments: dict = {}
     cumulants: dict = {}
 
     def moment(u) -> ScalarExpr:
         hit = moments.get(u)
         if hit is None:
-            block = [op for op, k in zip(distinct, u) for _ in range(k)]
-            hit = moments[u] = block_value(average_symbol(tuple(block)))
+            block = tuple(op for op, k in zip(distinct, u) for _ in range(k))
+            sym = (correlation_symbol(block, tail)
+                   if tail is not None and u[-1] else average_symbol(block))
+            hit = moments[u] = block_value(sym)
         return hit
 
     def cumulant(u) -> ScalarExpr:
@@ -249,13 +256,13 @@ def _expansion(factors: tuple, block_value) -> ScalarExpr:
             parts.append(term if weight == 1 else term * weight)
         return ScalarExpr.sum(parts)
 
-    return split(tuple(k for _, k in runs))
+    return split(counts)
 
 
 def joint_cumulant(factors, space: ProductSpace) -> ScalarExpr:
     """The partition-sum cumulant of an operator product (all partitions).
 
-    ``factors`` must be the factor sequence of a canonical product on
+    ``factors`` must be the factor sequence of a plain canonical product on
     ``space``; the full-sequence average enters with coefficient one.  The
     cumulant is the full average minus its one-step moment expansion.
     """
@@ -268,9 +275,9 @@ def joint_cumulant(factors, space: ProductSpace) -> ScalarExpr:
 def moment_expansion_once(factors, space: ProductSpace) -> ScalarExpr:
     """The vanishing-cumulant substitution applied a single time.
 
-    Expresses the full-sequence average of a canonical product on ``space``
-    through proper-partition products; residual averages are left untouched
-    (no recursion).
+    Expresses the full-sequence average of a plain canonical product on
+    ``space`` through proper-partition products; residual averages are left
+    untouched (no recursion).
     """
     factors = _canonical(factors, space, "cannot expand an empty product")
     return _expansion(factors, ScalarExpr.from_average)
@@ -304,7 +311,7 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
 
     Filtered averages are replaced by zero at every recursion level.  A
     conjugated occurrence expands as the conjugate of its representative's
-    expansion.
+    expansion, and a correlation variable keeps its B whole in one block.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -323,7 +330,8 @@ def expand_average(avg: AverageSymbol, order, filt=None) -> ScalarExpr:
         result = ScalarExpr.from_average(avg)
     else:
         result = _expansion(avg.factors,
-                            lambda block: expand_average(block, spec, filt))
+                            lambda block: expand_average(block, spec, filt),
+                            avg.b_ops)
     memo[key] = result
     return result
 

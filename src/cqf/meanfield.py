@@ -94,8 +94,6 @@ def qle_rhs(O: QExpr, model: ModelDefinition) -> QExpr:
     """
     if O.space != model.space:
         raise SpaceMismatchError("operator lives on a different space than the model")
-    if any(ops and ops[-1].is_frozen for ops, _ in O.terms):
-        raise AlgebraError("nothing may be multiplied to the right of a frozen factor")
     support = frozenset().union(*(touched_subspaces(ops) for ops, _ in O.terms))
 
     def touches(ops) -> bool:

@@ -101,8 +101,6 @@ def to_matrix(x: QExpr, trunc: TruncationSpec, params: dict | None = None) -> np
     total = int(np.prod(dims))
     out = np.zeros((total, total), dtype=np.complex128)
     for ops, coeff in x.terms:
-        if any(op.is_frozen for op in ops):
-            raise AlgebraError("frozen factors have no matrix representation")
         if coeff.averages():
             raise EvaluationError(
                 "coefficient contains averages; no matrix representation"

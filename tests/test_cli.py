@@ -587,6 +587,78 @@ def test_solve_with_oracle_columns(laser_file, capsys):
     assert "ME:Re⟨a'*a⟩" in header
 
 
+def test_oracle_state_lines_set_the_oracle_initial_state(laser_file):
+    """``oracle_state`` puts the atom in e and the cavity in Fock state 2,
+    the state the ``initial`` lines give the moments: at t = 0 every ME
+    column equals its moment column.  Both lines survive a printout."""
+    with open(laser_file, encoding="utf-8") as fh:
+        text = fh.read() + ("initial <see> = 1\ninitial <a'*a> = 2\n"
+                            "oracle_state atom e\noracle_state cavity 2\n")
+    path = laser_file + ".state.cqm"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    out = laser_file + ".state.csv"
+    assert main(["solve", path, "--oracle", "--cutoff", "cavity=8",
+                 "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        first = [float(x) for x in fh.readline().split(",")]
+    row = dict(zip(header, first))
+    assert (row["Re⟨a'*a⟩"], row["Re⟨σee⟩"]) == (2.0, 1.0)
+    moments = [name for name in header[1:] if name.startswith(("Re⟨", "Im⟨"))]
+    assert len(moments) == 6
+    assert all(row["ME:" + name] == row[name] for name in moments)
+    parsed = parse_model(text)
+    printed = pretty_print(parsed)
+    assert "oracle_state atom e\noracle_state cavity 2\n" in printed
+    assert parse_model(printed).options.oracle_state == {"atom": "e", "cavity": 2}
+
+
+def test_a_complex_observable_gets_two_columns(laser_file):
+    """<a'σge> is complex: it prints as Re[c] and Im[c], the moment's own
+    two columns."""
+    with open(laser_file, encoding="utf-8") as fh:
+        text = fh.read() + "observable c = a'*sge\n"
+    path = laser_file + ".complex.cqm"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    out = laser_file + ".complex.csv"
+    assert main(["solve", path, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert header[-3:] == ["n", "Re[c]", "Im[c]"]
+    moment = [header.index("Re⟨a'*σge⟩"), header.index("Im⟨a'*σge⟩")]
+    assert np.array_equal(data[:, -2:], data[:, moment])
+    assert np.max(np.abs(data[:, -1])) > 1e-3
+
+
+def test_a_small_cutoff_warns_of_truncation_leak(laser_file, capsys):
+    """Two Fock levels cannot hold the lasing field: the oracle names the
+    population that reaches the top level."""
+    assert main(["solve", laser_file, "--oracle", "--cutoff", "cavity=2",
+                 "--out", laser_file + ".leak.csv"]) == 0
+    assert ("oracle warning: truncation leak on 'cavity': top-level population "
+            in capsys.readouterr().out)
+
+
+def test_rk4_without_dt_takes_a_five_thousandth_of_tspan(laser_file, capsys):
+    """With no ``dt`` line, rk4 steps (5 - 0) / 5000 and says so; the run
+    equals one with that step given."""
+    with open(laser_file, encoding="utf-8") as fh:
+        text = fh.read().replace("dt 0.01\n", "")
+    path = laser_file + ".nodt.cqm"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    out, given = laser_file + ".nodt.csv", laser_file + ".dt.csv"
+    assert main(["solve", path, "--out", out]) == 0
+    assert "note: fixed-step dt defaulted to 0.001\n" in capsys.readouterr().out
+    assert main(["solve", path, "--dt", "0.001", "--out", given]) == 0
+    assert "note:" not in capsys.readouterr().out
+    with open(out, "rb") as fh, open(given, "rb") as gh:
+        assert fh.read() == gh.read()
+
+
 def test_spectrum_default_grid(laser_file):
     out = laser_file + ".spec.csv"
     assert main(["spectrum", laser_file, "--out", out]) == 0
@@ -661,6 +733,28 @@ def test_correlate_csv(laser_file):
     rows = open(out).read().splitlines()
     assert rows[0] == "tau,ReC,ImC"
     assert len(rows) == 102
+
+
+def test_correlate_without_tau_max_spans_twelve_decay_times(laser_file,
+                                                           monkeypatch):
+    """The default delay window is 12 decay times of the slowest eigenvalue
+    of the steady delay matrix, sampled at 2001 points."""
+    windows = []
+
+    def recorded(ls):
+        windows.append((ls, correlation_mod.decay_time(ls)))
+        return windows[-1][1]
+
+    monkeypatch.setattr(main_mod, "decay_time", recorded)
+    out = laser_file + ".corr.csv"
+    assert main(["correlate", laser_file, "--out", out]) == 0
+    (ls, window), = windows
+    rates = -np.linalg.eigvals(ls.matrix).real
+    assert window == pytest.approx(12.0 / rates[rates > 0].min(), rel=1e-12)
+    assert 10.0 < window < 2000.0
+    taus = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert len(taus) == 2001 and taus[0] == 0.0
+    assert taus[-1] == pytest.approx(window, rel=1e-11)
 
 
 def test_spectrum_with_oracle_column(laser_file, capsys):
@@ -1001,6 +1095,8 @@ def test_number_errors_carry_their_line(tmp_path, capsys, line):
     ("spectrum", ["--omega", "nan:1:5"]),
     ("spectrum", ["--tau-points", "5"]),
     ("spectrum", ["--tau-max", "3"]),
+    ("solve", ["--cutoff", "cavity=0"]),
+    ("solve", ["--oracle", "--cutoff", "cavity=-3"]),
 ])
 def test_malformed_flag_values_are_reported(laser_file, capsys, monkeypatch,
                                             command, flags):

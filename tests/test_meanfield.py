@@ -10,7 +10,7 @@ from cqf import (FILTER_PHASE, I_UNIT, TruncationSpec, adjoint, average,
                  average_symbol, create, destroy, fock, identity,
                  meanfield_derive, nlevel, parameters, product, qle_rhs, qmul,
                  to_matrix, transition, zero)
-from cqf.algebra import ScalarExpr, append_frozen
+from cqf.algebra import ScalarExpr
 from cqf.errors import AlgebraError, SpaceMismatchError
 from cqf.meanfield import MeanfieldEquation, ModelDefinition
 
@@ -246,12 +246,6 @@ def test_local_equation_of_motion_equals_the_full_formula(name, request):
     assert len(monomials) > 10
     for O in monomials:
         assert qle_rhs(O, model) == _full_qle_rhs(O, model), repr(O)
-
-
-def test_frozen_operator_is_rejected(laser):
-    frozen = append_frozen(laser.a, laser.ad.monomial_ops())
-    with pytest.raises(AlgebraError, match="right of a frozen factor"):
-        qle_rhs(frozen, laser.model)
 
 
 def _lindblad(model, trunc, params):

@@ -23,12 +23,11 @@ import cqf.correlation
 import cqf.meanfield
 from cqf import (FILTER_PHASE, ComplexRational, EquationSet, FilterFunction,
                  ModelDefinition, OrderSpec, QExpr, ScalarExpr, StepperConfig,
-                 average, average_symbol,
-                 build_correlation_system, complete, destroy,
+                 average_symbol, build_correlation_system, complete, destroy,
                  expand_scalar, fock, initial_state, integrate, lower,
                  meanfield_derive, nlevel, parameters, product, qle_rhs,
                  transition)
-from cqf.algebra import FundamentalOp, append_frozen, correlation_symbol
+from cqf.algebra import FundamentalOp, correlation_symbol
 from cqf.cli import deserialize, parse_model, serialize
 from cqf.numerics.lowering import BoundRHS
 from cqf.meanfield import MeanfieldEquation, derive_equation
@@ -60,7 +59,9 @@ def _direct(eq, model, order, filt):
     if not lhs.ops:
         return type(eq)(lhs, ScalarExpr.zero())
     O = QExpr(model.space, ((lhs.ops, ScalarExpr.one()),))
-    rhs = average(append_frozen(qle_rhs(O, model), lhs.b_ops))
+    rhs = ScalarExpr.sum(
+        coeff * ScalarExpr.from_average(correlation_symbol(ops, lhs.b_ops))
+        for ops, coeff in qle_rhs(O, model).terms)
     return type(eq)(lhs, expand_scalar(rhs, order, filt))
 
 
@@ -128,11 +129,27 @@ def _tavis_three_with_its_own_gamma():
     return model, seeds, [(1, 2)]
 
 
+def _collective(t):
+    """The Tavis model with a collective decay jump sum_k σ12_k at rate γ
+    beside each atom's own: one jump acts on every atom of the orbit."""
+    m = t.model
+    collective = sum((t.s(1, 2, k) for k in range(1, t.n_atoms)), t.s(1, 2, 0))
+    return ModelDefinition.create(m.space, m.hamiltonian, m.jumps + (collective,),
+                                  m.rates + (m.rates[-1],))
+
+
+def _tavis_collective(n):
+    t = make_tavis(n)
+    return _collective(t), [t.s(2, 2, k) for k in range(n)], [tuple(range(1, n + 1))]
+
+
 # name -> (model, seeds that are whole orbits, blocks of identical factors),
 # and the filter
 SYMMETRIC = {
     **{f"tavis{n}": (lambda n=n: _tavis_case(n), FILTER_PHASE)
        for n in range(2, 7)},
+    **{f"tavis{n}-collective": (lambda n=n: _tavis_collective(n), FILTER_PHASE)
+       for n in (3, 4)},
     "tavis4-no-filter": (lambda: _tavis_case(4), None),
     "tavis3-atom3-own-gamma": (_tavis_three_with_its_own_gamma, FILTER_PHASE),
     "two-cavities": (_two_cavities, None),
@@ -172,6 +189,22 @@ def test_correlation_systems_give_the_direct_equations(pair, steady, qle_calls):
     derived = [eq for eq in cs.equations if eq.lhs.ops]
     assert 0 < len(qle_calls) < len(derived)
     _assert_direct(cs.equations, t.model, closed.order, closed.filter)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_collective_jump_keeps_the_direct_correlation_equations(n, qle_calls):
+    """The co-evolved <a'(t+τ) a(t)> under a collective decay: each orbit's
+    delay equation is derived once, and every member equals its own
+    derivation."""
+    t = make_tavis(n)
+    model = _collective(t)
+    closed = complete(meanfield_derive([t.s(2, 2, k) for k in range(n)], model,
+                                       2, FILTER_PHASE))
+    del qle_calls[:]
+    cs = build_correlation_system(t.ad, t.a, closed, steady=False)
+    derived = [eq for eq in cs.equations if eq.lhs.ops]
+    assert 0 < len(qle_calls) < len(derived)
+    _assert_direct(cs.equations, model, closed.order, closed.filter)
 
 
 def _model_file(name):
@@ -385,6 +418,23 @@ def test_representatives_integrate_like_every_entry(method):
     assert np.array_equal(reduced.times, full.times)
     scale = np.max(np.abs(full.states))
     assert scale > 1.0     # the pulse has built up
+    assert np.max(np.abs(reduced.states - full.states)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, size", [(3, 13), (4, 21)])
+def test_representatives_integrate_like_every_entry_under_a_collective_jump(n, size):
+    """Tavis N=3 and N=4 with a collective decay, from full inversion:
+    stepping the 5 representatives by rk4 agrees with stepping every
+    entry to 1e-12 of the largest value."""
+    t = make_tavis(n)
+    f = lower(complete(meanfield_derive([t.s(2, 2, k) for k in range(n)],
+                                        _collective(t), 2, FILTER_PHASE))).bind(t.params)
+    u0 = _inverted(t, f.program.layout)
+    cfg = STEPPERS["rk4"]
+    reduced = integrate(f, u0, (0.0, 4.0), cfg, saveat=TIMES)
+    full = integrate(lambda tau, y: f(tau, y), u0, (0.0, 4.0), cfg, saveat=TIMES)
+    assert (f.program.size, f.orbits().f.size) == (size, 5)
+    scale = np.max(np.abs(full.states))
     assert np.max(np.abs(reduced.states - full.states)) <= 1e-12 * scale
 
 
